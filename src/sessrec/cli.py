@@ -114,8 +114,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-attention", action="store_true")
     p.add_argument("--no-reverse-pos", action="store_true")
     p.add_argument("--no-spl", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap; 1 (the default) guarantees bit-exact runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,9 +186,12 @@ def _parse_ks(text: str) -> list:
 
 
 def cmd_synth(args) -> int:
-    spec = synth_mod.SynthSpec(n_items=args.n_items, n_sessions=args.sessions,
-                               n_chains=args.chains, chain_len=args.chain_len,
-                               noise=args.noise, seed=args.seed)
+    try:
+        spec = synth_mod.SynthSpec(n_items=args.n_items, n_sessions=args.sessions,
+                                   n_chains=args.chains, chain_len=args.chain_len,
+                                   noise=args.noise, seed=args.seed).validate()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     bundle, _chains = synth_mod.synth_dataset(spec)
     data_mod.save_bundle(bundle, args.out)
     print(json.dumps(bundle.stats, sort_keys=True))
@@ -243,8 +244,7 @@ def cmd_train(args) -> int:
     ks = _parse_ks(args.ks)
     bundle = data_mod.load_bundle(args.data)
     out_dir = Path(args.out)
-    write_resolved_config(out_dir, hyper, {"data": str(args.data), "ks": ks,
-                                           "threads": args.threads})
+    write_resolved_config(out_dir, hyper, {"data": str(args.data), "ks": ks})
     with open(out_dir / "train.log", "w", encoding="utf-8") as log_stream:
         result = train_mod.train(bundle, hyper, out_dir=out_dir, ks=ks,
                                  log_stream=log_stream)

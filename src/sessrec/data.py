@@ -7,9 +7,13 @@ session into (prefix, next-item) supervision pairs.
 """
 from __future__ import annotations
 
+import gc
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 BUNDLE_FORMAT_VERSION = 1
@@ -260,23 +264,85 @@ def bundle_to_dict(bundle: DatasetBundle) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str, kind: type):
+    value = doc.get(key)
+    if not isinstance(value, kind):
+        raise DataError(f"bundle field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def _ints(xs, valid: frozenset | None = None) -> bool:
+    """Every element is an int (bools excluded), and in `valid` when given."""
+    return set(map(type, xs)) <= {int} and (valid is None or valid.issuperset(xs))
+
+
+def _rows(doc: dict, key: str, valid: frozenset, min_items: int,
+          value_valid: frozenset | None) -> tuple:
+    """A bundle field of [items, value] rows: at least min_items int items in
+    `valid` and an int value, in value_valid when given. Returns the item lists
+    and the values."""
+    rows = _field(doc, key, list)
+    items, values = [], []
+    try:
+        ok = set(map(len, rows)) <= {2}
+        if ok and rows:
+            items, values = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
+            ok = (min(map(len, items)) >= min_items and _ints(values, value_valid)
+                  and _ints(list(chain.from_iterable(items)), valid))
+    except (TypeError, KeyError):   # a row or an item list that is not a list
+        ok = False
+    if not ok:
+        raise DataError(f"bundle field {key!r} must hold [items, value] rows of "
+                        f"integers, at least {min_items} item(s) per row, items in "
+                        f"[0, {len(valid)})")
+    return items, values
+
+
 def bundle_from_dict(doc: dict) -> DatasetBundle:
+    """Rebuild a bundle; missing or ill-typed fields and item indices outside
+    the vocabulary raise DataError."""
     from . import graph as graph_mod
+    if not isinstance(doc, dict):
+        raise DataError("a bundle must be a JSON object")
     version = doc.get("format_version")
     if version != BUNDLE_FORMAT_VERSION:
         raise DataError(f"unsupported bundle format version {version!r}")
+    keys = _field(doc, "vocab", list)
+    if not set(map(type, keys)) <= {str}:
+        raise DataError("bundle field 'vocab' must hold item key strings")
+    vocab = Vocab(keys)
+    n = vocab.n
+    valid = frozenset(range(n))
+
+    def examples(key):
+        prefixes, targets = _rows(doc, key, valid, 1, valid)
+        return list(map(TrainExample, map(tuple, prefixes), targets))
+
     bundle = DatasetBundle(
-        vocab=Vocab(doc["vocab"]),
-        sessions_train=[Session(items=i, start_time=t) for i, t in doc["sessions_train"]],
-        sessions_test=[Session(items=i, start_time=t) for i, t in doc["sessions_test"]],
-        train=[TrainExample(tuple(p), t) for p, t in doc["train"]],
-        test=[TrainExample(tuple(p), t) for p, t in doc["test"]],
-        stats=doc["stats"],
+        vocab=vocab,
+        sessions_train=list(map(Session, *_rows(doc, "sessions_train", valid, 0, None))),
+        sessions_test=list(map(Session, *_rows(doc, "sessions_test", valid, 0, None))),
+        train=examples("train"),
+        test=examples("test"),
+        stats=_field(doc, "stats", dict),
         config=doc.get("config", {}),
     )
     if "graph" in doc:
-        bundle.graph = graph_mod.edges_from_list(bundle.vocab.n, doc["graph"]["edges"])
-        bundle.graph_epsilon = doc["graph"]["epsilon"]
+        graph = _field(doc, "graph", dict)
+        epsilon, edges = graph.get("epsilon"), graph.get("edges")
+        try:
+            ok = (type(epsilon) is int and epsilon >= 1
+                  and set(map(len, edges)) <= {3}
+                  and _ints(list(map(itemgetter(0), edges)), valid)
+                  and _ints(list(map(itemgetter(1), edges)), valid)
+                  and set(map(type, map(itemgetter(2), edges))) <= {int, float})
+        except (TypeError, KeyError):   # edges, or an edge, that is not a list
+            ok = False
+        if not ok:
+            raise DataError("bundle field 'graph' must hold epsilon >= 1 and "
+                            f"[src, dst, weight] edges with src, dst in [0, {n})")
+        bundle.graph = graph_mod.edges_from_list(n, edges)
+        bundle.graph_epsilon = epsilon
     return bundle
 
 
@@ -285,13 +351,29 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
         json.dump(bundle_to_dict(bundle), f, sort_keys=True, separators=(",", ":"))
 
 
-def load_bundle(path) -> DatasetBundle:
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector. A bundle parses into hundreds of
+    thousands of acyclic lists and tuples; while they are allocated, a running
+    collector traverses the growing heap again and again, which costs more
+    than the parse itself."""
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"cannot read bundle {path}: {e}") from e
-    return bundle_from_dict(doc)
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def load_bundle(path) -> DatasetBundle:
+    with _gc_paused():
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                doc = json.load(f)
+        except (OSError, json.JSONDecodeError) as e:
+            raise DataError(f"cannot read bundle {path}: {e}") from e
+        return bundle_from_dict(doc)
 
 
 def vocab_hash(vocab: Vocab) -> str:

@@ -40,10 +40,18 @@ class Hyperparams:
             raise ValueError("d must be >= 1")
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
+        if self.epsilon < 1:
+            raise ValueError("epsilon must be >= 1")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_session_len < 1:
@@ -127,38 +135,33 @@ def propagate(x0: Tensor, anorm, params: ModelParams, num_layers: int,
     return T.scale(acc, 1.0 / (num_layers + 1))
 
 
-def _truncate(items, max_len: int):
-    """Sessions longer than the position table keep their most recent items."""
-    return items[-max_len:] if len(items) > max_len else items
+def encode_session(items: np.ndarray, x_v: Tensor, params: ModelParams,
+                   use_reverse_pos: bool = True) -> Tensor:
+    """Per-item tanh(W1 [x_t || p_{m-t+1}] + b1) for g sessions of length m.
 
-
-def encode_session(items, x_v: Tensor, params: ModelParams,
-                   use_reverse_pos: bool = True, max_session_len: int | None = None) -> Tensor:
-    """Per-item tanh(W1 [x_t || p_{m-t+1}] + b1); the last item gets p_1."""
-    if max_session_len is not None:
-        items = _truncate(items, max_session_len)
-    m = len(items)
-    n = x_v.shape[0]
-    if any(i < 0 or i >= n for i in items):
+    items is a g x m index array; returns (g*m) x d, one block of m rows per
+    session, in which the last item gets p_1.
+    """
+    g, m = items.shape
+    if items.size and (items.min() < 0 or items.max() >= x_v.shape[0]):
         raise ValueError("item index outside vocabulary (closure violated)")
-    x = T.select_rows(x_v, items)
+    x = T.select_rows(x_v, items.reshape(-1))
     if use_reverse_pos:
-        pos = T.select_rows(params["pos_emb"], list(range(m - 1, -1, -1)))
+        pos = T.select_rows(params["pos_emb"], np.tile(np.arange(m - 1, -1, -1), g))
     else:
-        pos = Tensor(np.zeros((m, x_v.shape[1])))
-    xstar = T.tanh(T.add_bias(T.matmul(T.concat_cols(x, pos), params["w1"]),
-                              params["b1"]))
-    return xstar
+        pos = Tensor(np.zeros((g * m, x_v.shape[1])))
+    return T.tanh(T.add_bias(T.matmul(T.concat_cols(x, pos), params["w1"]), params["b1"]))
 
 
-def session_attention(xstar: Tensor, params: ModelParams) -> Tensor:
-    """Soft attention pooling: theta = sum_t a_t x_t*, a_t unnormalized."""
-    xs = T.mean_rows(xstar)
-    h = T.sigmoid(T.add_bias(T.add_bias(T.matmul(xstar, params["w3"]),
-                                        T.matmul(xs, params["w2"])),
+def session_attention(xstar: Tensor, m: int, params: ModelParams) -> Tensor:
+    """Soft attention pooling per block of m rows: theta = sum_t a_t x_t*, a_t
+    unnormalized. (g*m) x d -> g x d."""
+    xs = T.scale(T.sum_blocks(xstar, m), 1.0 / m)   # g x d session means
+    h = T.sigmoid(T.add_bias(T.add(T.matmul(xstar, params["w3"]),
+                                   T.repeat_rows(T.matmul(xs, params["w2"]), m)),
                              params["c"]))
-    a = T.matmul(h, params["q"])           # m x 1
-    return T.matmul(T.transpose(a), xstar)  # 1 x d
+    a = T.matmul(h, params["q"])                    # (g*m) x 1
+    return T.sum_blocks(T.mul_cols(xstar, a), m)
 
 
 def score(theta: Tensor, x_v: Tensor) -> Tensor:
@@ -172,11 +175,9 @@ def predict(z: Tensor) -> Tensor:
 
 
 def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams) -> Tensor:
-    """Reference single-session path: 1 x n probability vector."""
-    xstar = encode_session(items, x_v, params, hyper.use_reverse_pos,
-                           hyper.max_session_len)
-    theta = session_attention(xstar, params)
-    return predict(score(theta, x_v))
+    """One session's 1 x n probability vector: the one-row case of forward_groups."""
+    ((_, scores),) = forward_groups([items], x_v, params, hyper)
+    return predict(scores)
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -186,19 +187,16 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-# ---------------------------------------------------------------------------
-# batched forward path
-# ---------------------------------------------------------------------------
-
 def group_by_length(prefixes, max_session_len: int):
     """Group prefixes by (truncated) length; returns {m: (positions, items g x m)}.
 
+    Sessions longer than the position table keep their most recent items.
     positions records each row's index in the original prefix list, so callers
     can scatter per-row results back into input order.
     """
     groups: dict[int, list] = {}
     for i, p in enumerate(prefixes):
-        p = _truncate(list(p), max_session_len)
+        p = tuple(p)[-max_session_len:]
         groups.setdefault(len(p), []).append((i, p))
     out = {}
     for m in sorted(groups):
@@ -213,32 +211,9 @@ def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparam
     """Batched forward pass over many sessions at once.
 
     Yields (positions, scores Tensor g x n) per length group; positions map
-    group rows back to indices in `prefixes`. Equivalent to forward_session
-    row by row (asserted in tests), but with O(groups) tape records instead
-    of O(sessions).
+    group rows back to indices in `prefixes`. Tape records grow with the
+    number of length groups, not of sessions.
     """
-    d = hyper.d
     for m, (positions, items) in group_by_length(prefixes, hyper.max_session_len).items():
-        g = items.shape[0]
-        flat = items.reshape(-1)
-        if flat.size and (flat.min() < 0 or flat.max() >= x_v.shape[0]):
-            raise ValueError("item index outside vocabulary (closure violated)")
-        x = T.select_rows(x_v, flat)                       # (g*m) x d
-        if hyper.use_reverse_pos:
-            pidx = np.tile(np.arange(m - 1, -1, -1), g)
-            pos_vecs = T.select_rows(params["pos_emb"], pidx)
-        else:
-            pos_vecs = Tensor(np.zeros((g * m, d)))
-        xstar = T.tanh(T.add_bias(T.matmul(T.concat_cols(x, pos_vecs), params["w1"]),
-                                  params["b1"]))          # (g*m) x d
-        # per-session mean and sum as constant block matrices
-        avg = Tensor(np.kron(np.eye(g), np.full((1, m), 1.0 / m)))   # g x (g*m)
-        expand = Tensor(np.kron(np.eye(g), np.ones((m, 1))))         # (g*m) x g
-        xs = T.matmul(avg, xstar)                          # g x d
-        h = T.sigmoid(T.add_bias(T.add(T.matmul(xstar, params["w3"]),
-                                       T.matmul(expand, T.matmul(xs, params["w2"]))),
-                                 params["c"]))
-        a = T.matmul(h, params["q"])                       # (g*m) x 1
-        summ = Tensor(np.kron(np.eye(g), np.ones((1, m))))            # g x (g*m)
-        theta = T.matmul(summ, T.mul_cols(xstar, a))       # g x d
-        yield positions, T.matmul(theta, T.transpose(x_v))  # g x n
+        xstar = encode_session(items, x_v, params, hyper.use_reverse_pos)
+        yield positions, score(session_attention(xstar, m, params), x_v)

@@ -25,11 +25,19 @@ class SynthSpec:
     max_walk: int = 8
     seed: int = 7
 
+    def validate(self):
+        if self.n_chains < 1 or self.chain_len < 1:
+            raise ValueError("n_chains and chain_len must be >= 1")
+        if self.n_chains * self.chain_len > self.n_items:
+            raise ValueError(f"{self.n_chains} chains of {self.chain_len} items do not "
+                             f"fit in the item universe of {self.n_items}")
+        if not 0.0 <= self.noise <= 1.0:
+            raise ValueError("noise must be in [0, 1]")
+        return self
+
 
 def make_chains(spec: SynthSpec, rng) -> list:
     """Disjoint chains over a permutation of the item universe."""
-    if spec.n_chains * spec.chain_len > spec.n_items:
-        raise ValueError("chains do not fit in the item universe")
     perm = rng.permutation(spec.n_items)
     return [perm[i * spec.chain_len:(i + 1) * spec.chain_len].tolist()
             for i in range(spec.n_chains)]
@@ -37,6 +45,7 @@ def make_chains(spec: SynthSpec, rng) -> list:
 
 def synth_events(spec: SynthSpec):
     """Generate raw events plus the planted chains (for oracle checks)."""
+    spec.validate()
     rng = np.random.default_rng(spec.seed)
     chains = make_chains(spec, rng)
     events = []

@@ -225,10 +225,22 @@ def select_rows(x: Tensor, indices) -> Tensor:
     return out
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    m = x.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True))
-    Tape._record(out, (x,), lambda g: (np.repeat(g, m, axis=0) / m,))
+def sum_blocks(x: Tensor, m: int) -> Tensor:
+    """Sum each consecutive block of m rows: (g*m) x d -> g x d."""
+    rows, cols = x.shape
+    if m < 1 or rows % m:
+        raise ShapeError(f"sum_blocks: {rows} rows do not split into blocks of {m}")
+    out = Tensor(x.data.reshape(rows // m, m, cols).sum(axis=1))
+    Tape._record(out, (x,), lambda g: (np.repeat(g, m, axis=0),))
+    return out
+
+
+def repeat_rows(x: Tensor, m: int) -> Tensor:
+    """Repeat each row m times, rows kept in order: g x d -> (g*m) x d; the adjoint
+    of sum_blocks."""
+    rows, cols = x.shape
+    out = Tensor(np.repeat(x.data, m, axis=0))
+    Tape._record(out, (x,), lambda g: (g.reshape(rows, m, cols).sum(axis=1),))
     return out
 
 

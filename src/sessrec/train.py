@@ -191,39 +191,48 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"{path} is not a checkpoint file")
     head = len(CHECKPOINT_MAGIC)
+    if len(raw) < head + 8:
+        raise CheckpointError(f"truncated checkpoint header in {path}")
     (meta_len,) = struct.unpack_from("<Q", raw, head)
+    base = head + 8 + meta_len
+    if base > len(raw):
+        raise CheckpointError(f"truncated checkpoint metadata in {path}")
     try:
-        meta = json.loads(raw[head + 8:head + 8 + meta_len].decode("utf-8"))
+        meta = json.loads(raw[head + 8:base].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupted checkpoint metadata in {path}") from e
-    if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {meta.get('format_version')!r} unsupported")
-    if expected_vocab_hash is not None and meta["vocab_hash"] != expected_vocab_hash:
+    version = meta.get("format_version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint format version {version!r} unsupported")
+    try:
+        vhash, adam_t, num_layers = meta["vocab_hash"], meta["adam_t"], meta["num_layers"]
+        hyper = Hyperparams(**meta["hyper"]).validate()
+        specs = [(spec["name"].partition("/"), int(spec["rows"]), int(spec["cols"]),
+                  int(spec["offset"])) for spec in meta["arrays"]]
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"malformed checkpoint metadata in {path}: {e!r}") from e
+    if expected_vocab_hash is not None and vhash != expected_vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and bundle")
-    base = head + 8 + meta_len
     tensors = {}
     adam_m, adam_v = {}, {}
-    for spec in meta["arrays"]:
-        size = spec["rows"] * spec["cols"] * 8
-        start = base + spec["offset"]
-        if start + size > len(raw):
+    for (kind, _, name), rows, cols, offset in specs:
+        size = rows * cols * 8
+        start = base + offset
+        if min(rows, cols, offset) < 0 or start + size > len(raw):
             raise CheckpointError(f"truncated checkpoint {path}")
         arr = np.frombuffer(raw[start:start + size], dtype=np.float64).reshape(
-            spec["rows"], spec["cols"]).copy()
-        kind, name = spec["name"].split("/", 1)
+            rows, cols).copy()
         if kind == "param":
             tensors[name] = Tensor(arr)
         elif kind == "adam_m":
             adam_m[name] = arr
         elif kind == "adam_v":
             adam_v[name] = arr
-    hyper = Hyperparams(**meta["hyper"])
-    params = ModelParams(tensors, num_layers=meta["num_layers"])
+    params = ModelParams(tensors, num_layers=num_layers)
     adam_state = None
-    if meta["adam_t"] is not None:
-        adam_state = {"t": meta["adam_t"], "m": adam_m, "v": adam_v}
-    return params, adam_state, hyper, meta["vocab_hash"]
+    if adam_t is not None:
+        adam_state = {"t": adam_t, "m": adam_m, "v": adam_v}
+    return params, adam_state, hyper, vhash
 
 
 def checkpoint_hash(path) -> str:

@@ -149,8 +149,10 @@ def test_criterion_2_gradient_correctness():
             lambda: T.sum_all(T.tanh(T.concat_cols(a, b))), [a, b]),
         "select_rows": lambda x=r(5, 3): (
             lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x]),
-        "mean_rows": lambda x=r(6, 3): (
-            lambda: T.sum_all(T.tanh(T.mean_rows(x))), [x]),
+        "sum_blocks": lambda x=r(6, 3): (
+            lambda: T.sum_all(T.tanh(T.sum_blocks(x, 3))), [x]),
+        "repeat_rows": lambda x=r(2, 3): (
+            lambda: T.sum_all(T.tanh(T.repeat_rows(x, 3))), [x]),
         "sum": lambda x=r(3, 3): (lambda: T.sum_all(x), [x]),
         "transpose": lambda x=r(2, 5): (
             lambda: T.sum_all(T.tanh(T.transpose(x))), [x]),
@@ -343,7 +345,7 @@ def test_criterion_9_determinism(tmp_path):
                      "--sessions", "80", "--chains", "3", "--chain-len", "6",
                      "--seed", "11"]) == 0
     args = ["train", "--data", str(bundle_path), "--d", "8", "--layers", "1",
-            "--epochs", "2", "--batch", "16", "--seed", "4", "--threads", "1"]
+            "--epochs", "2", "--batch", "16", "--seed", "4"]
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
         assert CLI.main(args + ["--out", str(d)]) == 0

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
-                         EXIT_OK, main)
+                         EXIT_OK, build_parser, main)
 
 
 def run(*argv):
@@ -135,3 +137,63 @@ def test_config_echo_reproduces_results(tmp_path, synth_bundle):
     assert (first / "metrics.json").read_bytes() == \
            (second / "metrics.json").read_bytes()
     assert (first / "best.ckpt").read_bytes() == (second / "best.ckpt").read_bytes()
+
+
+def test_short_checkpoint_header_exit_code(tmp_path, synth_bundle):
+    ckpt = tmp_path / "t.ckpt"
+    ckpt.write_bytes(b"SESSRECCKPT\n\x01\x02")
+    assert run("eval", "--checkpoint", str(ckpt), "--data", str(synth_bundle),
+               "--out", str(tmp_path / "e.json")) == EXIT_CHECKPOINT
+
+
+def _break_bundle(doc, case):
+    if case == "missing-sessions-train":
+        del doc["sessions_train"]
+    elif case == "oov-test-prefix":
+        doc["test"][0][0][-1] = len(doc["vocab"])
+    else:
+        doc["test"][0][1] = len(doc["vocab"]) + 5
+
+
+@pytest.mark.parametrize("case", ["missing-sessions-train", "oov-test-prefix",
+                                  "oov-test-target"])
+def test_broken_bundle_exit_code(tmp_path, synth_bundle, case):
+    doc = json.loads(synth_bundle.read_text())
+    _break_bundle(doc, case)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("build-graph", "--in", str(bad), "--out",
+               str(tmp_path / "g.json")) == EXIT_DATA
+    assert run("train", "--data", str(bad), "--out", str(tmp_path / "run"),
+               "--d", "4", "--layers", "0", "--epochs", "1") == EXIT_DATA
+
+
+@pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "0"),
+                                        ("--epochs", "-1"), ("--l2", "-0.5"),
+                                        ("--epsilon", "0")])
+def test_bad_hyperparameter_exit_code(tmp_path, synth_bundle, flag, value):
+    assert run("train", "--data", str(synth_bundle), "--out", str(tmp_path / "x"),
+               "--d", "4", "--layers", "0", flag, value) == EXIT_CONFIG
+    assert not (tmp_path / "x" / "metrics.json").exists()
+
+
+def test_synth_chains_must_fit_exit_code(tmp_path):
+    assert run("synth", "--out", str(tmp_path / "s.json"), "--n-items",
+               "50") == EXIT_CONFIG
+
+
+def readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [line.split("#")[0].strip() for line in readme.read_text().splitlines()
+            if line.startswith("sessrec ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

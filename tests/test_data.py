@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -219,3 +220,82 @@ class TestBundleSerialization:
         path = tmp_path / "b.json"
         save_bundle(bundle, path)
         assert isinstance(json.loads(path.read_text())["format_version"], int)
+
+
+def valid_bundle_doc():
+    """A bundle with a graph, as JSON loads it: every field present and non-empty."""
+    from sessrec import graph as G
+    bundle = make_bundle(events_for([["a", "b", "c"], ["c", "a", "b"]], repeat=4),
+                         PreprocessConfig(min_item_freq=2))
+    bundle.graph = G.build_global_graph(bundle.sessions_train, bundle.vocab.n)
+    bundle.graph_epsilon = 3
+    return json.loads(json.dumps(bundle_to_dict(bundle)))
+
+
+REQUIRED_FIELDS = ["vocab", "sessions_train", "sessions_test", "train", "test", "stats"]
+ROW_FIELDS = ["sessions_train", "sessions_test", "train", "test"]
+NOT_A_CONTAINER = [None, 3, "x", 1.5, True]
+
+
+@st.composite
+def broken_bundle_doc(draw):
+    doc = valid_bundle_doc()
+    n = len(doc["vocab"])
+    kind = draw(st.sampled_from(["drop", "retype", "bad_row", "bad_item",
+                                 "bad_target", "bad_edge", "empty_prefix"]))
+    bad_index = draw(st.one_of(st.integers(n, n + 100), st.integers(-100, -1),
+                               st.sampled_from([1.5, "0", None, True, [0]])))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(REQUIRED_FIELDS + ["format_version"]))]
+    elif kind == "retype":
+        doc[draw(st.sampled_from(REQUIRED_FIELDS + ["graph"]))] = \
+            draw(st.sampled_from(NOT_A_CONTAINER))
+    elif kind == "bad_row":
+        rows = doc[draw(st.sampled_from(ROW_FIELDS))]
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(
+            NOT_A_CONTAINER + [[], [[0]], [[0], 1, 2], [0, 1], ["0", 1]]))
+    elif kind == "bad_item":
+        rows = doc[draw(st.sampled_from(ROW_FIELDS))]
+        items = rows[draw(st.integers(0, len(rows) - 1))][0]
+        items[draw(st.integers(0, len(items) - 1))] = bad_index
+    elif kind == "bad_target":
+        rows = doc[draw(st.sampled_from(["train", "test"]))]
+        rows[draw(st.integers(0, len(rows) - 1))][1] = bad_index
+    elif kind == "bad_edge":
+        edges = doc["graph"]["edges"]
+        edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = bad_index
+    else:
+        rows = doc[draw(st.sampled_from(["train", "test"]))]
+        rows[draw(st.integers(0, len(rows) - 1))][0] = []
+    return doc
+
+
+class TestBundleValidation:
+    def test_valid_doc_loads(self):
+        bundle = bundle_from_dict(valid_bundle_doc())
+        assert bundle.test and bundle.sessions_test and bundle.graph.edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(broken_bundle_doc())
+    def test_mutated_bundle_is_data_error(self, doc):
+        with pytest.raises(DataError):
+            bundle_from_dict(doc)
+
+    def test_load_restores_collector_state(self, tmp_path):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(valid_bundle_doc()))
+        bad.write_text(json.dumps({"format_version": 1}))
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                load_bundle(good)
+                with pytest.raises(DataError):
+                    load_bundle(bad)
+                assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_not_an_object(self):
+        with pytest.raises(DataError, match="JSON object"):
+            bundle_from_dict([1, 2])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ def np_softmax_rows(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def oracle_forward(items, x_v, params, use_reverse_pos=True):
-    """Independent straight-line recomputation of the session head."""
+def oracle_scores(items, x_v, params, use_reverse_pos=True):
+    """Independent straight-line recomputation of one session's scores."""
     m = len(items)
     x = x_v[list(items)]
     if use_reverse_pos:
@@ -28,8 +30,16 @@ def oracle_forward(items, x_v, params, use_reverse_pos=True):
     pre = xstar @ params["w3"].data + xs @ params["w2"].data + params["c"].data
     a = (1.0 / (1.0 + np.exp(-pre))) @ params["q"].data
     theta = a.T @ xstar
-    z = theta @ x_v.T
-    return np_softmax_rows(z)
+    return theta @ x_v.T
+
+
+def oracle_forward(items, x_v, params, use_reverse_pos=True):
+    return np_softmax_rows(oracle_scores(items, x_v, params, use_reverse_pos))
+
+
+def encode_one(items, x_v, params):
+    """encode_session on a batch holding the single session `items`."""
+    return M.encode_session(np.array([items], dtype=np.intp), x_v, params)
 
 
 def oracle_propagate(x0, anorm_dense, params, layers, use_attention=True):
@@ -131,9 +141,8 @@ class TestPropagate:
 class TestEncodeSession:
     def test_single_item_uses_first_position(self):
         _, _, hyper, params = make_setup()
-        out = M.encode_session([2], M.propagate(params["item_emb"],
-                                                make_setup()[1], params, 0),
-                               params)
+        out = encode_one([2], M.propagate(params["item_emb"], make_setup()[1],
+                                          params, 0), params)
         x_v = params["item_emb"].data
         want = np.tanh(np.hstack([x_v[2:3], params["pos_emb"].data[0:1]])
                        @ params["w1"].data + params["b1"].data)
@@ -142,7 +151,7 @@ class TestEncodeSession:
     def test_reverse_positions_for_two_items(self):
         _, _, hyper, params = make_setup()
         x_v = Tensor(params["item_emb"].data.copy())
-        out = M.encode_session([1, 3], x_v, params)
+        out = encode_one([1, 3], x_v, params)
         p = params["pos_emb"].data
         want = np.tanh(np.hstack([x_v.data[[1, 3]], p[[1, 0]]])
                        @ params["w1"].data + params["b1"].data)
@@ -152,46 +161,48 @@ class TestEncodeSession:
         _, _, hyper, params = make_setup(d=3)
         params.tensors["w1"] = Tensor(np.zeros((6, 3)))
         params.tensors["b1"] = Tensor(np.zeros((1, 3)))
-        out = M.encode_session([0, 1, 2], Tensor(params["item_emb"].data), params)
+        out = encode_one([0, 1, 2], Tensor(params["item_emb"].data), params)
         np.testing.assert_allclose(out.data, 0.0)
 
     def test_vocabulary_closure_violation(self):
         _, _, hyper, params = make_setup(n=4)
         with pytest.raises(ValueError, match="closure"):
-            M.encode_session([99], Tensor(params["item_emb"].data), params)
+            encode_one([99], Tensor(params["item_emb"].data), params)
 
     def test_long_session_keeps_most_recent(self):
-        _, _, hyper, params = make_setup()
         items = [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
-        full = M.encode_session(items, Tensor(params["item_emb"].data), params,
-                                max_session_len=4)
-        tail = M.encode_session(items[-4:], Tensor(params["item_emb"].data), params)
-        np.testing.assert_allclose(full.data, tail.data)
+        ((m, (positions, mat)),) = M.group_by_length([items], 4).items()
+        assert m == 4 and positions == [0]
+        np.testing.assert_array_equal(mat, [items[-4:]])
 
 
 class TestSessionAttention:
     def test_zero_query_gives_zero(self, rng):
         _, _, hyper, params = make_setup(d=4)
         params.tensors["q"] = Tensor(np.zeros((4, 1)))
-        theta = M.session_attention(Tensor(rng.standard_normal((3, 4))), params)
+        theta = M.session_attention(Tensor(rng.standard_normal((3, 4))), 3, params)
+        assert theta.shape == (1, 4)
         np.testing.assert_allclose(theta.data, 0.0)
 
     def test_single_row_formula(self, rng):
         _, _, hyper, params = make_setup(d=4)
         x1 = rng.standard_normal((1, 4))
-        theta = M.session_attention(Tensor(x1), params)
+        theta = M.session_attention(Tensor(x1), 1, params)
         pre = x1 @ (params["w2"].data + params["w3"].data) + params["c"].data
         a1 = (1.0 / (1.0 + np.exp(-pre))) @ params["q"].data
         np.testing.assert_allclose(theta.data, a1 * x1, atol=1e-12)
 
     def test_random_instance_matches_oracle(self, rng):
         _, _, hyper, params = make_setup(d=4)
-        xstar = rng.standard_normal((3, 4))
-        theta = M.session_attention(Tensor(xstar), params)
-        xs = xstar.mean(axis=0, keepdims=True)
-        pre = xstar @ params["w3"].data + xs @ params["w2"].data + params["c"].data
-        a = (1.0 / (1.0 + np.exp(-pre))) @ params["q"].data
-        np.testing.assert_allclose(theta.data, a.T @ xstar, atol=1e-12)
+        xstar = rng.standard_normal((6, 4))     # two sessions of three rows
+        theta = M.session_attention(Tensor(xstar), 3, params)
+        for row, block in enumerate((xstar[:3], xstar[3:])):
+            xs = block.mean(axis=0, keepdims=True)
+            pre = (block @ params["w3"].data + xs @ params["w2"].data
+                   + params["c"].data)
+            a = (1.0 / (1.0 + np.exp(-pre))) @ params["q"].data
+            np.testing.assert_allclose(theta.data[row:row + 1], a.T @ block,
+                                       atol=1e-12)
 
 
 class TestScorePredict:
@@ -283,7 +294,7 @@ def test_last_item_always_gets_first_position():
     _, _, hyper, params = make_setup(d=3)
     x_v = Tensor(params["item_emb"].data)
     for items in ([4], [0, 4], [2, 1, 0, 4]):
-        out = M.encode_session(items, x_v, params)
+        out = encode_one(items, x_v, params)
         want_last = np.tanh(
             np.hstack([x_v.data[4:5], params["pos_emb"].data[0:1]])
             @ params["w1"].data + params["b1"].data)
@@ -291,16 +302,20 @@ def test_last_item_always_gets_first_position():
 
 
 def test_batched_forward_matches_per_session():
-    sessions, anorm, hyper, params = make_setup(n=8, d=5, layers=2, seed=3)
-    x_v = M.propagate(params["item_emb"], anorm, params, 2)
-    rng = np.random.default_rng(11)
-    prefixes = [tuple(rng.integers(0, 8, size=rng.integers(1, 6)))
-                for _ in range(12)]
-    got = np.zeros((12, 8))
-    for positions, scores in M.forward_groups(prefixes, x_v, params, hyper):
-        probs = M.predict(scores)
-        for row, pos in enumerate(positions):
-            got[pos] = probs.data[row]
-    for i, p in enumerate(prefixes):
-        want = M.forward_session(list(p), x_v, params, hyper)
-        np.testing.assert_allclose(got[i], want.data[0], atol=1e-12)
+    # mixed lengths in one call, prefixes longer than max_session_len, with
+    # and without reverse positions, against the dense per-session oracle
+    for use_reverse_pos in (True, False):
+        _, anorm, hyper, params = make_setup(n=8, d=5, layers=2, seed=3,
+                                             use_reverse_pos=use_reverse_pos)
+        hyper = dataclasses.replace(hyper, max_session_len=4)
+        x_v = M.propagate(params["item_emb"], anorm, params, 2)
+        rng = np.random.default_rng(11)
+        prefixes = [tuple(rng.integers(0, 8, size=rng.integers(1, 8)))
+                    for _ in range(16)]
+        assert min(map(len, prefixes)) < 4 < max(map(len, prefixes))
+        got = np.full((16, 8), np.nan)
+        for positions, scores in M.forward_groups(prefixes, x_v, params, hyper):
+            got[positions] = scores.data
+        want = np.vstack([oracle_scores(p[-4:], x_v.data, params.tensors,
+                                        use_reverse_pos) for p in prefixes])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

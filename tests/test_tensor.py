@@ -94,6 +94,19 @@ def test_repeated_operand_accumulates():
     np.testing.assert_allclose(w.grad, [[4.0]])
 
 
+def test_sum_blocks_and_repeat_rows_are_adjoint():
+    x = Tensor(np.arange(12.0).reshape(6, 2))
+    np.testing.assert_array_equal(T.sum_blocks(x, 3).data, [[6.0, 9.0], [24.0, 27.0]])
+    y = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(T.repeat_rows(y, 2).data,
+                                  [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]])
+    # <sum_blocks(x), y> == <x, repeat_rows(y)>
+    assert np.sum(T.sum_blocks(x, 3).data * y.data) == \
+        np.sum(x.data * T.repeat_rows(y, 3).data)
+    with pytest.raises(ShapeError, match="blocks of 4"):
+        T.sum_blocks(x, 4)
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 4))
@@ -158,9 +171,13 @@ class TestPrimitiveGradients:
         x = rand(self.rng, 5, 3)
         _check(lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x])
 
-    def test_mean_rows(self):
+    def test_sum_blocks(self):
         x = rand(self.rng, 6, 3)
-        _check(lambda: T.sum_all(T.tanh(T.mean_rows(x))), [x])
+        _check(lambda: T.sum_all(T.tanh(T.sum_blocks(x, 3))), [x])
+
+    def test_repeat_rows(self):
+        x = rand(self.rng, 2, 3)
+        _check(lambda: T.sum_all(T.tanh(T.repeat_rows(x, 3))), [x])
 
     def test_transpose(self):
         x = rand(self.rng, 2, 5)

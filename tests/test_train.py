@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -116,8 +119,54 @@ class TestCheckpoint:
         with pytest.raises(TR.CheckpointError):
             TR.load_checkpoint(tmp_path / "cut.ckpt")
 
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        for tail in (b"", b"\x01\x02", struct.pack("<Q", 10 ** 6) + b"{}"):
+            path.write_bytes(TR.CHECKPOINT_MAGIC + tail)
+            with pytest.raises(TR.CheckpointError, match="truncated"):
+                TR.load_checkpoint(path)
+
+    def test_malformed_metadata(self, tmp_path):
+        hyper = tiny_hyper()
+        TR.save_checkpoint(tmp_path / "ok.ckpt", M.init_params(10, hyper), None,
+                           hyper, "0" * 64)
+        raw = (tmp_path / "ok.ckpt").read_bytes()
+        head = len(TR.CHECKPOINT_MAGIC)
+        (meta_len,) = struct.unpack_from("<Q", raw, head)
+        blobs = raw[head + 8 + meta_len:]
+
+        def rewrite(edit):
+            body = json.dumps(edit(json.loads(raw[head + 8:head + 8 + meta_len])))
+            path = tmp_path / "bad.ckpt"
+            path.write_bytes(TR.CHECKPOINT_MAGIC + struct.pack("<Q", len(body))
+                             + body.encode() + blobs)
+            return path
+
+        def without(key):
+            return lambda m: {k: v for k, v in m.items() if k != key}
+
+        def with_hyper(**kw):
+            return lambda m: dict(m, hyper=dict(m["hyper"], **kw))
+
+        def with_array0(**kw):
+            return lambda m: dict(m, arrays=[dict(m["arrays"][0], **kw)] + m["arrays"][1:])
+
+        edits = [without(key) for key in
+                 ("vocab_hash", "hyper", "adam_t", "num_layers", "arrays")]
+        edits += [with_hyper(learning_rate_typo=0.1), with_hyper(d="x"),
+                  with_hyper(lr=-1.0), with_array0(rows=None), with_array0(offset=-8),
+                  lambda m: [m]]
+        for edit in edits:
+            with pytest.raises(TR.CheckpointError):
+                TR.load_checkpoint(rewrite(edit))
+        assert TR.load_checkpoint(rewrite(lambda m: m))[2] == hyper
+
 
 class TestSynth:
+    def test_chains_must_fit(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            S.synth_dataset(S.SynthSpec(n_items=50))
+
     def test_zero_noise_sessions_are_chain_walks(self):
         spec = S.SynthSpec(n_items=30, n_sessions=40, n_chains=3, noise=0.0, seed=1)
         bundle, chains = S.synth_dataset(spec)
