@@ -199,13 +199,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    cfg = PreprocessConfig(delimiter=args.delimiter, has_header=args.header,
-                           max_error_ratio=args.max_error_ratio,
-                           min_item_freq=args.min_item_freq,
-                           min_session_len=args.min_session_len,
-                           holdout_fraction=args.holdout_fraction,
-                           holdout_window=args.holdout_window,
-                           min_prefix_len=args.min_prefix_len)
+    try:
+        cfg = PreprocessConfig(delimiter=args.delimiter, has_header=args.header,
+                               max_error_ratio=args.max_error_ratio,
+                               min_item_freq=args.min_item_freq,
+                               min_session_len=args.min_session_len,
+                               holdout_fraction=args.holdout_fraction,
+                               holdout_window=args.holdout_window,
+                               min_prefix_len=args.min_prefix_len).validate()
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     try:
         with open(args.infile, "r", encoding="utf-8") as f:
             events, errors = data_mod.parse_events(

@@ -75,6 +75,19 @@ class PreprocessConfig:
     holdout_window: int | None = None   # time units; overrides fraction when set
     min_prefix_len: int = 1
 
+    def validate(self):
+        if not self.delimiter:
+            raise ValueError("delimiter must be a non-empty string")
+        if not 0.0 <= self.max_error_ratio <= 1.0:
+            raise ValueError("max_error_ratio must be in [0, 1]")
+        if self.holdout_window is None and not 0.0 < self.holdout_fraction < 1.0:
+            raise ValueError("holdout_fraction must be in (0, 1)")
+        if self.holdout_window is not None and self.holdout_window < 0:
+            raise ValueError("holdout_window must be >= 0")
+        if self.min_prefix_len < 1:
+            raise ValueError("min_prefix_len must be >= 1")
+        return self
+
 
 @dataclass
 class DatasetBundle:
@@ -207,7 +220,7 @@ def augment(items, min_prefix_len: int = 1) -> list:
 
 def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle:
     """End-to-end preprocessing: events -> DatasetBundle."""
-    config = config or PreprocessConfig()
+    config = (config or PreprocessConfig()).validate()
     raw = build_sessions(events)
     raw = filter_dataset(raw, config.min_item_freq, config.min_session_len)
     train_raw, test_raw = temporal_split(raw, config.holdout_fraction,

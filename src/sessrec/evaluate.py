@@ -36,13 +36,20 @@ class EvalReport:
         return out
 
 
+def ranks(scores, targets) -> np.ndarray:
+    """1-based rank of each row's target in a g x n score matrix: the scores
+    above it plus the equal scores at lower indices, plus one."""
+    s = np.asarray(scores, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.intp)
+    st = s[np.arange(s.shape[0]), targets][:, None]
+    higher = (s > st).sum(axis=1)
+    tied_before = ((s == st) & (np.arange(s.shape[1]) < targets[:, None])).sum(axis=1)
+    return 1 + higher + tied_before
+
+
 def rank_target(scores, target: int) -> int:
     """1-based rank of the target; equal scores break by ascending index."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    st = s[target]
-    higher = int((s > st).sum())
-    tied_before = int(((s == st) & (np.arange(s.size) < target)).sum())
-    return 1 + higher + tied_before
+    return int(ranks(np.reshape(scores, (1, -1)), [target])[0])
 
 
 def precision_at_k(ranks, k: int) -> float:
@@ -71,12 +78,10 @@ def ranks_for_examples(examples, x_v, params, hyper) -> np.ndarray:
     """Target ranks for a list of (prefix, target) examples; forward-only."""
     prefixes = [ex.prefix for ex in examples]
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
-    ranks = np.zeros(len(examples), dtype=np.int64)
+    out = np.zeros(len(examples), dtype=np.int64)
     for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper):
-        s = scores.data
-        for row, pos in enumerate(positions):
-            ranks[pos] = rank_target(s[row], targets[pos])
-    return ranks
+        out[positions] = ranks(scores.data, targets[positions])
+    return out
 
 
 def evaluate_model(examples, x_v, params, hyper, ks=(10, 20)) -> EvalReport:
@@ -96,5 +101,6 @@ def popularity_baseline(bundle, ks=(10, 20)) -> EvalReport:
     for s in bundle.sessions_train:
         for i in s.items:
             counts[i] += 1.0
-    ranks = [rank_target(counts, ex.target) for ex in bundle.test]
-    return report_from_ranks(ranks, ks)
+    targets = [ex.target for ex in bundle.test]
+    return report_from_ranks(ranks(np.broadcast_to(counts, (len(targets), counts.size)),
+                                   targets), ks)

@@ -72,9 +72,8 @@ def single_positive_loss(x: Tensor, tau: float) -> Tensor:
     if np.any(np.linalg.norm(x.data, axis=1) == 0.0):
         raise ValueError("degenerate representation: zero row has no cosine")
     k = x.shape[0]
-    sims = T.cosine_similarity_matrix(x)
-    lse = T.row_logsumexp(T.scale(sims, 1.0 / tau))
-    return T.affine(T.sum_all(lse), 1.0, -k / tau)
+    lse = T.gram_logsumexp(T.normalize_rows(x), 1.0 / tau)
+    return T.affine(lse, 1.0, -k / tau)
 
 
 def total_loss(l_ce: Tensor, l_spl: Tensor | None, beta: float):

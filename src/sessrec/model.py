@@ -8,6 +8,7 @@ candidate item.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -36,6 +37,10 @@ class Hyperparams:
     ce_form: str = "as_printed"       # or "softmax_ce"
 
     def validate(self):
+        for name in ("d", "num_layers", "epsilon", "batch_size", "epochs",
+                     "max_session_len", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.num_layers < 0:
@@ -91,31 +96,31 @@ class ModelParams:
         return self.tensors.items()
 
 
+def param_shapes(n: int, hyper: Hyperparams):
+    """Yield (name, (rows, cols)) for every parameter of a model over n items,
+    in the order init_params draws them."""
+    d = hyper.d
+    yield from {"item_emb": (n, d), "pos_emb": (hyper.max_session_len, d),
+                "w1": (2 * d, d), "b1": (1, d), "q": (d, 1), "c": (1, d),
+                "w2": (d, d), "w3": (d, d)}.items()
+    for l in range(hyper.num_layers):
+        yield f"att_w{l}", (d, d)
+        yield f"att_b{l}", (1, d)
+        yield f"conv_w{l}", (d, d)
+
+
 def init_params(n: int, hyper: Hyperparams, seed: int | None = None) -> ModelParams:
     """All entries i.i.d. uniform on [-1/sqrt(d), +1/sqrt(d)], seeded."""
     rng = np.random.default_rng(hyper.seed if seed is None else seed)
-    d, L = hyper.d, hyper.num_layers
-    s = 1.0 / np.sqrt(d)
-
-    def u(rows, cols):
-        return Tensor(rng.uniform(-s, s, size=(rows, cols)))
-
-    tensors = {"item_emb": u(n, d), "pos_emb": u(hyper.max_session_len, d),
-               "w1": u(2 * d, d), "b1": u(1, d), "q": u(d, 1), "c": u(1, d),
-               "w2": u(d, d), "w3": u(d, d)}
-    for l in range(L):
-        tensors[f"att_w{l}"] = u(d, d)
-        tensors[f"att_b{l}"] = u(1, d)
-        tensors[f"conv_w{l}"] = u(d, d)
-    return ModelParams(tensors, num_layers=L)
+    s = 1.0 / np.sqrt(hyper.d)
+    tensors = {name: Tensor(rng.uniform(-s, s, size=shape))
+               for name, shape in param_shapes(n, hyper)}
+    return ModelParams(tensors, num_layers=hyper.num_layers)
 
 
 def attention_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Project, score all item pairs, row-softmax, and mix: softmax(XW+b . X^T) X."""
-    y = T.add_bias(T.matmul(x, w), b)
-    scores = T.matmul(y, T.transpose(x))
-    att = T.row_softmax(scores)
-    return T.matmul(att, x)
+    return T.attention(x, w, b)
 
 
 def gcn_layer(anorm, x: Tensor, w: Tensor) -> Tensor:

@@ -209,7 +209,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         hyper = Hyperparams(**meta["hyper"]).validate()
         specs = [(spec["name"].partition("/"), int(spec["rows"]), int(spec["cols"]),
                   int(spec["offset"])) for spec in meta["arrays"]]
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise CheckpointError(f"malformed checkpoint metadata in {path}: {e!r}") from e
     if expected_vocab_hash is not None and vhash != expected_vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and bundle")
@@ -220,15 +220,32 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         start = base + offset
         if min(rows, cols, offset) < 0 or start + size > len(raw):
             raise CheckpointError(f"truncated checkpoint {path}")
-        arr = np.frombuffer(raw[start:start + size], dtype=np.float64).reshape(
-            rows, cols).copy()
+        try:
+            arr = np.frombuffer(raw[start:start + size], dtype=np.float64).reshape(
+                rows, cols).copy()
+        except ValueError as e:   # a dimension numpy cannot hold, with no bytes behind it
+            raise CheckpointError(f"malformed array {kind}/{name} in {path}: {e}") from e
         if kind == "param":
             tensors[name] = Tensor(arr)
         elif kind == "adam_m":
             adam_m[name] = arr
         elif kind == "adam_v":
             adam_v[name] = arr
-    params = ModelParams(tensors, num_layers=num_layers)
+    if num_layers != hyper.num_layers:
+        raise CheckpointError(f"checkpoint num_layers {num_layers!r} disagrees with its "
+                              f"hyperparameters ({hyper.num_layers})")
+    # every parameter init_params would create, with its shape, and no other;
+    # the generator stops at the first missing name, so a huge num_layers is cheap
+    n = tensors["item_emb"].shape[0] if "item_emb" in tensors else 0
+    n_expected = 0
+    for name, shape in model_mod.param_shapes(n, hyper):
+        if name not in tensors or tensors[name].shape != shape:
+            raise CheckpointError(f"checkpoint parameter {name!r} is missing or not {shape}")
+        n_expected += 1
+    if len(tensors) != n_expected:
+        raise CheckpointError(f"checkpoint holds {len(tensors) - n_expected} unknown "
+                              "parameter(s)")
+    params = ModelParams(tensors, num_layers=hyper.num_layers)
     adam_state = None
     if adam_t is not None:
         adam_state = {"t": adam_t, "m": adam_m, "v": adam_v}

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from sessrec.data import DatasetBundle, Session, TrainExample, Vocab, augment
+from sessrec.train import CHECKPOINT_MAGIC
 
 
 def indexed_bundle(sessions, n, test_sessions=None, min_prefix_len=1):
@@ -32,3 +36,11 @@ def memorization_bundle():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def rewrite_meta(raw: bytes, edit) -> bytes:
+    """A checkpoint's bytes with its metadata JSON passed through edit."""
+    head = len(CHECKPOINT_MAGIC)
+    (meta_len,) = struct.unpack_from("<Q", raw, head)
+    body = json.dumps(edit(json.loads(raw[head + 8:head + 8 + meta_len]))).encode()
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(body)) + body + raw[head + 8 + meta_len:]

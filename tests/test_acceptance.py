@@ -114,9 +114,12 @@ def test_criterion_1_graph_oracle_equivalence():
 # criterion 2: gradient correctness
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_gradient_correctness():
+def test_criterion_2_gradient_correctness(monkeypatch):
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
+    # row tiles of 3 rows for the 7-row fused primitives (2 for the 8-item toy
+    # model), so every tiled primitive is checked across several tiles
+    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
 
     # every primitive individually < 1e-6
     def r(rows, cols, shift=0.0):
@@ -158,12 +161,12 @@ def test_criterion_2_gradient_correctness():
             lambda: T.sum_all(T.tanh(T.transpose(x))), [x]),
         "row_softmax": lambda x=r(4, 5), w=r(4, 5): (
             lambda: T.sum_all(T.mul(T.row_softmax(x), w)), [x, w]),
-        "row_logsumexp": lambda x=r(4, 6): (
-            lambda: T.sum_all(T.tanh(T.row_logsumexp(x))), [x]),
+        "attention": lambda x=r(7, 3), w=r(3, 3), b=r(1, 3), c=r(7, 3): (
+            lambda: T.sum_all(T.mul(T.attention(x, w, b), c)), [x, w, b]),
         "normalize_rows": lambda x=r(4, 3, shift=2.0): (
             lambda: T.sum_all(T.tanh(T.normalize_rows(x))), [x]),
-        "cosine_similarity_matrix": lambda x=r(4, 3, shift=1.0): (
-            lambda: T.sum_all(T.tanh(T.cosine_similarity_matrix(x))), [x]),
+        "gram_logsumexp": lambda x=r(7, 3): (
+            lambda: T.gram_logsumexp(x, 0.7), [x]),
     }
     worst_prim = 0.0
     for name, make in prim_checks.items():

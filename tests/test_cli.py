@@ -6,6 +6,7 @@ import pytest
 
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                          EXIT_OK, build_parser, main)
+from conftest import rewrite_meta
 
 
 def run(*argv):
@@ -87,6 +88,14 @@ def test_unknown_config_key_rejected(tmp_path, synth_bundle):
                str(tmp_path / "x"), "--config", str(cfg)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key", ["d", "num_layers", "batch_size"])
+def test_non_integer_config_value_rejected(tmp_path, synth_bundle, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 4, "num_layers": 1, "epochs": 1, key: 1.5}))
+    assert run("train", "--data", str(synth_bundle), "--out",
+               str(tmp_path / "x"), "--config", str(cfg)) == EXIT_CONFIG
+
+
 def test_missing_data_file(tmp_path):
     assert run("train", "--data", str(tmp_path / "nope.json"), "--out",
                str(tmp_path / "x"), "--epochs", "1") == EXIT_DATA
@@ -144,6 +153,29 @@ def test_short_checkpoint_header_exit_code(tmp_path, synth_bundle):
     ckpt.write_bytes(b"SESSRECCKPT\n\x01\x02")
     assert run("eval", "--checkpoint", str(ckpt), "--data", str(synth_bundle),
                "--out", str(tmp_path / "e.json")) == EXIT_CHECKPOINT
+
+
+def test_checkpoint_without_parameter_exit_code(tmp_path, synth_bundle):
+    out = tmp_path / "run"
+    assert run("train", "--data", str(synth_bundle), "--out", str(out), "--d", "4",
+               "--layers", "1", "--epochs", "1") == EXIT_OK
+    bad = tmp_path / "nop.ckpt"
+    bad.write_bytes(rewrite_meta((out / "last.ckpt").read_bytes(), lambda m: dict(
+        m, arrays=[a for a in m["arrays"] if a["name"] != "param/w1"])))
+    assert run("eval", "--checkpoint", str(bad), "--data", str(synth_bundle),
+               "--out", str(tmp_path / "e.json")) == EXIT_CHECKPOINT
+
+
+def test_preprocess_min_prefix_len_zero_exit_code(tmp_path):
+    raw = tmp_path / "events.tsv"
+    raw.write_text("".join(f"s{s}\t{k}\t{s * 3 + i}\n" for s in range(6)
+                           for i, k in enumerate("abc")))
+    out = tmp_path / "bundle.json"
+    assert run("preprocess", "--in", str(raw), "--out", str(out),
+               "--min-prefix-len", "0") == EXIT_CONFIG
+    assert not out.exists()
+    assert run("preprocess", "--in", str(raw), "--out", str(out),
+               "--min-item-freq", "1") == EXIT_OK
 
 
 def _break_bundle(doc, case):

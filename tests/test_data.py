@@ -197,6 +197,16 @@ class TestMakeBundle:
         assert all(s.start_time >= max_train for s in bundle.sessions_test)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("min_prefix_len", 0), ("max_error_ratio", 1.5), ("holdout_fraction", 1.0),
+    ("holdout_window", -1), ("delimiter", "")])
+def test_preprocess_config_validation(field, value):
+    with pytest.raises(ValueError, match=field):
+        PreprocessConfig(**{field: value}).validate()
+    with pytest.raises(ValueError, match=field):
+        make_bundle([], PreprocessConfig(**{field: value}))
+
+
 class TestBundleSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         events = events_for([["a", "b", "c"], ["c", "a", "b"]], repeat=4)

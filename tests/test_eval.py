@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessrec.evaluate import (EvalConfig, EvalError, mrr_at_k, popularity_baseline,
-                              precision_at_k, rank_target, report_from_ranks)
+                              precision_at_k, rank_target, ranks, report_from_ranks)
 from conftest import indexed_bundle
 
 
@@ -22,6 +22,26 @@ class TestRankTarget:
         scores = np.array([0.3, -1.0, 2.0, 0.3])
         for t in range(4):
             assert rank_target(scores, t) == rank_target(scores + 42.0, t)
+
+
+def per_row_rank(scores, target):
+    """The ranking rule one row at a time: 1 + higher scores + equal scores at
+    lower indices."""
+    st_ = scores[target]
+    return 1 + sum(1 for i, v in enumerate(scores) if v > st_ or (v == st_ and i < target))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 15), st.integers(0, 2 ** 32 - 1))
+def test_vectorised_ranks_match_per_row_rule_with_ties(g, n, seed):
+    rng = np.random.default_rng(seed)
+    # three distinct values, so most rows hold ties with their target
+    scores = rng.integers(0, 3, size=(g, n)).astype(np.float64)
+    targets = rng.integers(0, n, size=g)
+    got = ranks(scores, targets)
+    assert got.tolist() == [per_row_rank(scores[i].tolist(), int(targets[i]))
+                            for i in range(g)]
+    assert [rank_target(scores[i], targets[i]) for i in range(g)] == got.tolist()
 
 
 class TestMetrics:

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sessrec import loss as L
+from sessrec import model as M
 from sessrec import tensor as T
 from sessrec.tensor import ShapeError, Tape, Tensor, grad_check
 
@@ -59,10 +63,10 @@ def test_row_softmax_rows_sum_to_one_and_shift_invariant():
     np.testing.assert_allclose(s.data, shifted.data, atol=1e-12)
 
 
-def test_cosine_matrix_orthogonal_rows():
-    x = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    c = T.cosine_similarity_matrix(x)
-    np.testing.assert_allclose(c.data, np.eye(2), atol=1e-15)
+def test_gram_logsumexp_orthogonal_rows():
+    # each row scores 1 against itself and 0 against the other: log(e + 1) per row
+    out = T.gram_logsumexp(Tensor([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+    np.testing.assert_allclose(out.data, [[2.0 * np.log1p(np.e)]], rtol=1e-15)
 
 
 def test_backward_requires_scalar():
@@ -116,6 +120,13 @@ def test_forward_determinism():
 
 
 # every primitive passes grad_check in isolation at 1e-6 (eps=1e-5)
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """A tile budget that splits 7 rows into tiles of 3, 3 and 1."""
+    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
+    assert [t.stop - t.start for t in T._row_tiles(7)] == [3, 3, 1]
+
 
 def _check(f, params, tol=1e-6):
     assert grad_check(f, params) < tol
@@ -188,17 +199,19 @@ class TestPrimitiveGradients:
         w = rand(self.rng, 4, 5)
         _check(lambda: T.sum_all(T.mul(T.row_softmax(x), w)), [x, w])
 
-    def test_row_logsumexp(self):
-        x = rand(self.rng, 4, 6)
-        _check(lambda: T.sum_all(T.tanh(T.row_logsumexp(x))), [x])
+    def test_attention(self, small_tiles):
+        x, w, b = rand(self.rng, 7, 3), rand(self.rng, 3, 3), rand(self.rng, 1, 3)
+        c = rand(self.rng, 7, 3)
+        _check(lambda: T.sum_all(T.mul(T.attention(x, w, b), c)), [x, w, b])
 
     def test_normalize_rows(self):
         x = Tensor(self.rng.standard_normal((4, 3)) + 2.0)
         _check(lambda: T.sum_all(T.tanh(T.normalize_rows(x))), [x])
 
-    def test_cosine_similarity_matrix(self):
-        x = Tensor(self.rng.standard_normal((4, 3)) + 1.0)
-        _check(lambda: T.sum_all(T.tanh(T.cosine_similarity_matrix(x))), [x])
+    def test_gram_logsumexp(self, small_tiles):
+        x = rand(self.rng, 7, 3)
+        _check(lambda: T.gram_logsumexp(x, 0.7), [x])
+        _check(lambda: T.gram_logsumexp(T.normalize_rows(x), 2.5), [x])
 
 
 def test_corrupted_adjoint_is_caught():
@@ -222,3 +235,94 @@ def test_linear_function_near_machine_eps():
     w = Tensor(rng.standard_normal((3, 3)))
     err = grad_check(lambda: T.sum_all(T.matmul(x, w)), [x])
     assert err < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# row-tiled attention and Gram log-sum-exp against dense numpy
+# ---------------------------------------------------------------------------
+
+def _softmax(s):
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def dense_attention(x, w, b, g):
+    """Output of softmax((XW+b)X^T)X and the gradients of sum(out * g)."""
+    y = x @ w + b
+    p = _softmax(y @ x.T)
+    dp = g @ x.T
+    ds = p * (dp - (p * dp).sum(axis=1, keepdims=True))
+    dy = ds @ x
+    return p @ x, (p.T @ g + ds.T @ y + dy @ w.T, x.T @ dy, dy.sum(axis=0, keepdims=True))
+
+
+def dense_gram_logsumexp(x, c):
+    """sum_i logsumexp_j(c x_i . x_j) and its gradient."""
+    s = c * (x @ x.T)
+    mx = s.max(axis=1, keepdims=True)
+    value = float((mx + np.log(np.exp(s - mx).sum(axis=1, keepdims=True))).sum())
+    ds = _softmax(s)
+    return value, c * (ds + ds.T) @ x
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+# (n, tile budget): one tile larger than n, one tile of exactly n rows, and
+# tiles of 3 and 4 rows that leave a ragged last tile
+@pytest.mark.parametrize("n,budget", [(5, 2 ** 20), (6, 36), (7, 21), (10, 40)])
+def test_tiled_primitives_match_dense_oracle(monkeypatch, n, budget):
+    monkeypatch.setattr(T, "TILE_ENTRIES", budget)
+    rng = np.random.default_rng(n)
+    x, w, b = rng.standard_normal((n, 4)), rng.standard_normal((4, 4)), rng.standard_normal((1, 4))
+    g = rng.standard_normal((n, 4))
+    tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
+    with Tape() as tape:
+        out = T.attention(tx, tw, tb)
+        tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+    want, grads = dense_attention(x, w, b, g)
+    assert _rel(out.data, want) <= 1e-10
+    for t, want_g in zip((tx, tw, tb), grads):
+        assert _rel(t.grad, want_g) <= 1e-10
+
+    tx = Tensor(x)
+    with Tape() as tape:
+        out = T.gram_logsumexp(tx, 1.3)
+        tape.backward(out)
+    value, grad = dense_gram_logsumexp(x, 1.3)
+    assert abs(out.item() - value) <= 1e-10 * abs(value)
+    assert _rel(tx.grad, grad) <= 1e-10
+
+
+def test_attention_rejects_mismatched_weights():
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3, 3))), Tensor(np.ones((1, 2))))
+
+
+def _fwd_bwd_peak(n, d, layer):
+    """tracemalloc peak (bytes) of one forward and backward of layer at n x d."""
+    rng = np.random.default_rng(n)
+    x = Tensor(rng.standard_normal((n, d)))
+    w, b = Tensor(rng.standard_normal((d, d)) * 0.1), Tensor(rng.standard_normal((1, d)))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tape.backward(layer(x, w, b))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("layer", [
+    lambda x, w, b: T.sum_all(M.attention_layer(x, w, b)),
+    lambda x, w, b: L.single_positive_loss(x, 0.1),
+], ids=["attention_layer", "single_positive_loss"])
+def test_peak_memory_grows_linearly(monkeypatch, layer):
+    # At a fixed tile size, memory is O(n d): doubling n about doubles the peak,
+    # which stays far below one dense n x n array. A dense path would quadruple.
+    monkeypatch.setattr(T, "TILE_ENTRIES", 2 ** 12)
+    n, d = 600, 4
+    small, large = _fwd_bwd_peak(n, d, layer), _fwd_bwd_peak(2 * n, d, layer)
+    assert large <= 2.3 * small
+    assert large < (2 * n) ** 2 * 8

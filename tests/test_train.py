@@ -1,8 +1,9 @@
-import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sessrec import graph as G
 from sessrec import model as M
@@ -12,7 +13,7 @@ from sessrec.data import vocab_hash
 from sessrec.evaluate import popularity_baseline
 from sessrec.model import Hyperparams
 from sessrec.optim import Adam
-from conftest import indexed_bundle, memorization_bundle
+from conftest import indexed_bundle, memorization_bundle, rewrite_meta
 
 
 def tiny_hyper(**kw):
@@ -131,15 +132,10 @@ class TestCheckpoint:
         TR.save_checkpoint(tmp_path / "ok.ckpt", M.init_params(10, hyper), None,
                            hyper, "0" * 64)
         raw = (tmp_path / "ok.ckpt").read_bytes()
-        head = len(TR.CHECKPOINT_MAGIC)
-        (meta_len,) = struct.unpack_from("<Q", raw, head)
-        blobs = raw[head + 8 + meta_len:]
 
         def rewrite(edit):
-            body = json.dumps(edit(json.loads(raw[head + 8:head + 8 + meta_len])))
             path = tmp_path / "bad.ckpt"
-            path.write_bytes(TR.CHECKPOINT_MAGIC + struct.pack("<Q", len(body))
-                             + body.encode() + blobs)
+            path.write_bytes(rewrite_meta(raw, edit))
             return path
 
         def without(key):
@@ -160,6 +156,93 @@ class TestCheckpoint:
             with pytest.raises(TR.CheckpointError):
                 TR.load_checkpoint(rewrite(edit))
         assert TR.load_checkpoint(rewrite(lambda m: m))[2] == hyper
+
+    def test_missing_or_misshaped_parameter(self, tmp_path):
+        hyper = tiny_hyper()
+        path = tmp_path / "ok.ckpt"
+        TR.save_checkpoint(path, M.init_params(10, hyper), None, hyper, "0" * 64)
+        raw = path.read_bytes()
+
+        def arrays(edit):
+            return rewrite_meta(raw, lambda m: dict(m, arrays=edit(m["arrays"])))
+
+        def rename(old, new):
+            return lambda specs: [dict(a, name=new) if a["name"] == old else a
+                                  for a in specs]
+
+        cases = {
+            "missing w1": arrays(lambda specs: [a for a in specs
+                                                if a["name"] != "param/w1"]),
+            "misshaped w1": arrays(lambda specs: [dict(a, rows=1)
+                                                  if a["name"] == "param/w1" else a
+                                                  for a in specs]),
+            "missing last layer": arrays(rename("param/conv_w0", "adam_m/conv_w0")),
+            "unknown parameter": arrays(lambda specs: specs + [dict(specs[0],
+                                                                    name="param/w9")]),
+            "num_layers disagrees": rewrite_meta(raw, lambda m: dict(m, num_layers=2)),
+            "fractional d": rewrite_meta(raw, lambda m: dict(m, hyper=dict(m["hyper"], d=8.5))),
+        }
+        for case, bad in cases.items():
+            path.write_bytes(bad)
+            with pytest.raises(TR.CheckpointError):
+                TR.load_checkpoint(path)
+                pytest.fail(case)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    hyper = tiny_hyper(num_layers=2, d=3)
+    params = M.init_params(6, hyper)
+    path = tmp_path_factory.mktemp("fuzz") / "ok.ckpt"
+    TR.save_checkpoint(path, params, Adam(params.tensors, lr=0.01), hyper, "0" * 64)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_checkpoint_fuzz(valid_checkpoint, tmp_path, data):
+    """Truncated, byte-flipped or metadata-rewritten checkpoints either load or
+    raise CheckpointError, never another exception."""
+    raw = valid_checkpoint
+    kind = data.draw(st.sampled_from(["truncate", "flip", "meta", "hyper", "array"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        buf = bytearray(raw)
+        # flips land in the header and metadata as often as in the float blocks
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, 400) | st.integers(0, len(buf) - 1))
+            buf[i] = data.draw(st.integers(0, 255))
+        raw = bytes(buf)
+    elif kind == "meta":
+        key = data.draw(st.sampled_from(["format_version", "vocab_hash", "hyper",
+                                         "adam_t", "num_layers", "arrays"]))
+        value = data.draw(JSON_VALUES)
+        raw = rewrite_meta(raw, lambda m: dict(m, **{key: value}))
+    elif kind == "hyper":
+        key = data.draw(st.sampled_from(sorted(Hyperparams().to_dict())))
+        value = data.draw(JSON_VALUES)
+        raw = rewrite_meta(raw, lambda m: dict(m, hyper=dict(m["hyper"], **{key: value})))
+    else:
+        i = data.draw(st.integers(0, 5))
+        key = data.draw(st.sampled_from(["name", "rows", "cols", "offset"]))
+        value = data.draw(st.integers() | JSON_VALUES)
+        raw = rewrite_meta(raw, lambda m: dict(m, arrays=[
+            dict(a, **{key: value}) if j == i else a for j, a in enumerate(m["arrays"])]))
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(raw)
+    try:
+        TR.load_checkpoint(path)
+    except TR.CheckpointError:
+        pass
 
 
 class TestSynth:
