@@ -7,6 +7,7 @@ outputs so results can be reproduced bit-identically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -35,6 +36,15 @@ EXIT_NUMERIC = 5
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def config_errors():
+    """Report a failed configuration check as a ConfigError (exit 2)."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
 
 
 _HYPER_FIELDS = {f.name for f in dataclasses.fields(Hyperparams)}
@@ -78,12 +88,8 @@ def resolve_hyper(args) -> Hyperparams:
         values["use_reverse_pos"] = False
     if args.no_spl:
         values["use_spl"] = False
-    try:
-        hyper = Hyperparams(**values)
-        hyper.validate()
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    return hyper
+    with config_errors():
+        return Hyperparams(**values).validate()
 
 
 def write_resolved_config(out_dir: Path, hyper: Hyperparams, extra: dict) -> None:
@@ -186,12 +192,10 @@ def _parse_ks(text: str) -> list:
 
 
 def cmd_synth(args) -> int:
-    try:
+    with config_errors():
         spec = synth_mod.SynthSpec(n_items=args.n_items, n_sessions=args.sessions,
                                    n_chains=args.chains, chain_len=args.chain_len,
                                    noise=args.noise, seed=args.seed).validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
     bundle, _chains = synth_mod.synth_dataset(spec)
     data_mod.save_bundle(bundle, args.out)
     print(json.dumps(bundle.stats, sort_keys=True))
@@ -199,7 +203,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    try:
+    with config_errors():
         cfg = PreprocessConfig(delimiter=args.delimiter, has_header=args.header,
                                max_error_ratio=args.max_error_ratio,
                                min_item_freq=args.min_item_freq,
@@ -207,8 +211,6 @@ def cmd_preprocess(args) -> int:
                                holdout_fraction=args.holdout_fraction,
                                holdout_window=args.holdout_window,
                                min_prefix_len=args.min_prefix_len).validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
     try:
         with open(args.infile, "r", encoding="utf-8") as f:
             events, errors = data_mod.parse_events(
@@ -225,12 +227,13 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
+    with config_errors():
+        cfg = graph_mod.GraphConfig(args.epsilon)
     bundle = data_mod.load_bundle(args.infile)
     sessions = list(bundle.sessions_train)
     if args.include_test:
         sessions += bundle.sessions_test
-    graph = graph_mod.build_global_graph(sessions, bundle.vocab.n,
-                                         graph_mod.GraphConfig(args.epsilon))
+    graph = graph_mod.build_global_graph(sessions, bundle.vocab.n, cfg)
     bundle.graph = graph
     bundle.graph_epsilon = args.epsilon
     data_mod.save_bundle(bundle, args.out)
@@ -281,10 +284,13 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .tensor import grad_check
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    with config_errors():
+        hyper = Hyperparams(d=args.d, num_layers=args.layers, tau=args.tau,
+                            beta=args.beta, max_session_len=6, seed=args.seed,
+                            batch_size=args.batch, epochs=0).validate()
     rng = np.random.default_rng(args.seed)
-    hyper = Hyperparams(d=args.d, num_layers=args.layers, tau=args.tau,
-                        beta=args.beta, max_session_len=6, seed=args.seed,
-                        batch_size=args.batch, epochs=0).validate()
     sessions = [list(rng.integers(0, args.n, size=rng.integers(2, 6)))
                 for _ in range(6)]
     graph = graph_mod.build_global_graph(sessions, args.n,

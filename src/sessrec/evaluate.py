@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -97,10 +98,9 @@ def popularity_baseline(bundle, ks=(10, 20)) -> EvalReport:
         raise EvalError("empty training set")
     if not bundle.test:
         raise EvalError("empty test set")
-    counts = np.zeros(bundle.vocab.n)
-    for s in bundle.sessions_train:
-        for i in s.items:
-            counts[i] += 1.0
+    items = np.fromiter(chain.from_iterable(s.items for s in bundle.sessions_train),
+                        dtype=np.intp)
+    counts = np.bincount(items, minlength=bundle.vocab.n).astype(np.float64)
     targets = [ex.target for ex in bundle.test]
     return report_from_ranks(ranks(np.broadcast_to(counts, (len(targets), counts.size)),
                                    targets), ks)

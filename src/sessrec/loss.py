@@ -17,18 +17,6 @@ PROB_EPS = 1e-12
 
 
 @dataclass
-class LossConfig:
-    beta: float = 1.0
-    tau: float = 0.1
-    spl_scope: str = "all_items"
-    ce_form: str = "as_printed"
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-
-
-@dataclass
 class LossBreakdown:
     l_ce: float
     l_spl: float
@@ -36,7 +24,8 @@ class LossBreakdown:
 
 
 def cross_entropy_rows(y_hat: Tensor, targets, form: str = "as_printed") -> Tensor:
-    """Summed cross-entropy over the rows of a g x n probability matrix.
+    """Summed cross-entropy over the rows of a g x n probability matrix, with
+    every probability clamped to [PROB_EPS, 1 - PROB_EPS]; one tape record.
 
     form="as_printed": full binary sum -[log p_t + sum_{i != t} log(1 - p_i)].
     form="softmax_ce": categorical -log p_t.
@@ -47,22 +36,9 @@ def cross_entropy_rows(y_hat: Tensor, targets, form: str = "as_printed") -> Tens
         raise ValueError(f"{targets.size} targets for {g} rows")
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise ValueError("target index out of range")
-    onehot = np.zeros((g, n))
-    onehot[np.arange(g), targets] = 1.0
-    log_p = T.log(T.clamp(y_hat, PROB_EPS, 1.0 - PROB_EPS))
-    pos = T.sum_all(T.mul(log_p, Tensor(onehot)))
-    if form == "softmax_ce":
-        return T.scale(pos, -1.0)
-    if form != "as_printed":
+    if form not in ("as_printed", "softmax_ce"):
         raise ValueError(f"unknown ce_form {form!r}")
-    log_q = T.log(T.clamp(T.affine(y_hat, -1.0, 1.0), PROB_EPS, 1.0 - PROB_EPS))
-    neg = T.sum_all(T.mul(log_q, Tensor(1.0 - onehot)))
-    return T.scale(T.add(pos, neg), -1.0)
-
-
-def cross_entropy(y_hat: Tensor, target: int, form: str = "as_printed") -> Tensor:
-    """Cross-entropy of one 1 x n probability vector against a single target."""
-    return cross_entropy_rows(y_hat, [target], form)
+    return T.clamped_cross_entropy(y_hat, targets, PROB_EPS, form == "as_printed")
 
 
 def single_positive_loss(x: Tensor, tau: float) -> Tensor:

@@ -9,6 +9,7 @@ candidate item.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -41,26 +42,17 @@ class Hyperparams:
                      "max_session_len", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.num_layers < 0:
-            raise ValueError("num_layers must be >= 0")
-        if self.epsilon < 1:
-            raise ValueError("epsilon must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_session_len < 1:
-            raise ValueError("max_session_len must be >= 1")
+        for name in ("tau", "beta", "lr", "l2"):
+            # false for NaN, infinities and integers too large for a float
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite")
+        for name, low in (("d", 1), ("epsilon", 1), ("batch_size", 1), ("max_session_len", 1),
+                          ("num_layers", 0), ("epochs", 0), ("seed", 0), ("beta", 0), ("l2", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("tau", "lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
         if self.spl_scope not in ("all_items", "batch_items"):
             raise ValueError(f"unknown spl_scope {self.spl_scope!r}")
         if self.ce_form not in ("as_printed", "softmax_ce"):
@@ -169,9 +161,9 @@ def session_attention(xstar: Tensor, m: int, params: ModelParams) -> Tensor:
     return T.sum_blocks(T.mul_cols(xstar, a), m)
 
 
-def score(theta: Tensor, x_v: Tensor) -> Tensor:
-    """Dot product of the session embedding with every candidate item."""
-    return T.matmul(theta, T.transpose(x_v))
+def score(theta: Tensor, x_vt: Tensor) -> Tensor:
+    """Dot products of session embeddings with the d x n transposed item table."""
+    return T.matmul(theta, x_vt)
 
 
 def predict(z: Tensor) -> Tensor:
@@ -219,6 +211,7 @@ def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparam
     group rows back to indices in `prefixes`. Tape records grow with the
     number of length groups, not of sessions.
     """
+    x_vt = T.transpose(x_v)
     for m, (positions, items) in group_by_length(prefixes, hyper.max_session_len).items():
         xstar = encode_session(items, x_v, params, hyper.use_reverse_pos)
-        yield positions, score(session_attention(xstar, m, params), x_v)
+        yield positions, score(session_attention(xstar, m, params), x_vt)

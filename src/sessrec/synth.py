@@ -33,6 +33,8 @@ class SynthSpec:
                              f"fit in the item universe of {self.n_items}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         return self
 
 

@@ -184,20 +184,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-    xd = x.data
-    Tape._record(out, (x,), lambda g: (g / xd,))
-    return out
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(x.data, lo, hi))
-    mask = ((x.data > lo) & (x.data < hi)).astype(np.float64)
-    Tape._record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: row counts of {a.shape} and {b.shape} differ")
@@ -277,6 +263,31 @@ def normalize_rows(x: Tensor) -> Tensor:
         return ((g - n * (g * n).sum(axis=1, keepdims=True)) / norms,)
 
     Tape._record(out, (x,), vjp)
+    return out
+
+
+def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tensor:
+    """-sum_r log p[r, t_r] over g x n probability rows plus, when binary, every
+    -log(1 - p[r, i]) with i != t_r; each probability is clamped to [eps, 1 - eps]
+    and gets a zero gradient where the clamp bites: g x n -> 1 x 1."""
+    pd, rows = p.data, np.arange(p.shape[0])
+    pt = pd[rows, targets]
+    value = -np.log(np.clip(pt, eps, 1.0 - eps)).sum()
+    if binary:
+        log_q = np.log(np.clip(1.0 - pd, eps, 1.0 - eps))
+        log_q[rows, targets] = 0.0
+        value -= log_q.sum()
+    out = Tensor(np.array([[value]]))
+
+    def c_over(x, c):   # c / x inside the clamp, 0 where it bites
+        return np.where((x > eps) & (x < 1.0 - eps), c / np.clip(x, eps, 1.0 - eps), 0.0)
+
+    def vjp(g):
+        dp = c_over(1.0 - pd, g[0, 0]) if binary else np.zeros_like(pd)
+        dp[rows, targets] = c_over(pt, -g[0, 0])
+        return (dp,)
+
+    Tape._record(out, (p,), vjp)
     return out
 
 

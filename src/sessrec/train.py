@@ -7,7 +7,6 @@ ends with a test evaluation and a best-P@20 checkpoint.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
@@ -250,7 +249,3 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     if adam_t is not None:
         adam_state = {"t": adam_t, "m": adam_m, "v": adam_v}
     return params, adam_state, hyper, vhash
-
-
-def checkpoint_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

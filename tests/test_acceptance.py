@@ -144,10 +144,10 @@ def test_criterion_2_gradient_correctness(monkeypatch):
             lambda: T.sum_all(T.tanh(T.mul_cols(x, c))), [x, c]),
         "tanh": lambda x=r(3, 3): (lambda: T.sum_all(T.tanh(x)), [x]),
         "sigmoid": lambda x=r(3, 3): (lambda: T.sum_all(T.sigmoid(x)), [x]),
-        "log": lambda x=Tensor(rng.random((3, 3)) + 0.5): (
-            lambda: T.sum_all(T.log(x)), [x]),
-        "clamp": lambda x=Tensor(rng.uniform(-0.5, 0.5, (3, 3))): (
-            lambda: T.sum_all(T.tanh(T.clamp(x, -1.0, 1.0))), [x]),
+        "clamped_cross_entropy/as_printed": lambda p=Tensor(rng.uniform(0.05, 0.95, (3, 4))): (
+            lambda: T.clamped_cross_entropy(p, [0, 3, 3], 1e-12, True), [p]),
+        "clamped_cross_entropy/softmax_ce": lambda p=Tensor(rng.uniform(0.05, 0.95, (3, 4))): (
+            lambda: T.clamped_cross_entropy(p, [2, 0, 1], 1e-12, False), [p]),
         "concat_cols": lambda a=r(3, 2), b=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.concat_cols(a, b))), [a, b]),
         "select_rows": lambda x=r(5, 3): (

@@ -202,16 +202,36 @@ def test_broken_bundle_exit_code(tmp_path, synth_bundle, case):
 
 @pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "0"),
                                         ("--epochs", "-1"), ("--l2", "-0.5"),
-                                        ("--epsilon", "0")])
+                                        ("--epsilon", "0"), ("--tau", "nan"),
+                                        ("--lr", "nan"), ("--beta", "inf"),
+                                        ("--l2", "inf"), ("--seed", "-1")])
 def test_bad_hyperparameter_exit_code(tmp_path, synth_bundle, flag, value):
     assert run("train", "--data", str(synth_bundle), "--out", str(tmp_path / "x"),
                "--d", "4", "--layers", "0", flag, value) == EXIT_CONFIG
     assert not (tmp_path / "x" / "metrics.json").exists()
 
 
+def test_build_graph_bad_epsilon_exit_code(tmp_path, synth_bundle):
+    out = tmp_path / "g.json"
+    assert run("build-graph", "--in", str(synth_bundle), "--out", str(out),
+               "--epsilon", "0") == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--d", "0"), ("--layers", "-1"), ("--n", "0"),
+                                        ("--tau", "nan"), ("--seed", "-1")])
+def test_gradcheck_bad_config_exit_code(flag, value):
+    assert run("gradcheck", flag, value) == EXIT_CONFIG
+
+
 def test_synth_chains_must_fit_exit_code(tmp_path):
     assert run("synth", "--out", str(tmp_path / "s.json"), "--n-items",
                "50") == EXIT_CONFIG
+
+
+def test_synth_negative_seed_exit_code(tmp_path):
+    assert run("synth", "--out", str(tmp_path / "s.json"), "--seed", "-1") == EXIT_CONFIG
+    assert not (tmp_path / "s.json").exists()
 
 
 def readme_commands():

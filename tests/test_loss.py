@@ -20,24 +20,24 @@ def spl_from_sims(sims, tau):
 class TestCrossEntropy:
     def test_as_printed_hand_value(self):
         y = Tensor([[0.25, 0.25, 0.5]])
-        got = L.cross_entropy(y, 2, form="as_printed").item()
+        got = L.cross_entropy_rows(y, [2], form="as_printed").item()
         want = -(np.log(0.5) + 2 * np.log(0.75))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(1.2685, abs=1e-4)
 
     def test_softmax_ce_hand_value(self):
         y = Tensor([[0.25, 0.25, 0.5]])
-        got = L.cross_entropy(y, 2, form="softmax_ce").item()
+        got = L.cross_entropy_rows(y, [2], form="softmax_ce").item()
         assert got == pytest.approx(-np.log(0.5), abs=1e-12)
 
     def test_one_hot_prediction_is_zero(self):
         y = Tensor([[0.0, 1.0, 0.0]])
         for form in ("as_printed", "softmax_ce"):
-            assert L.cross_entropy(y, 1, form=form).item() <= 1e-9
+            assert L.cross_entropy_rows(y, [1], form=form).item() <= 1e-9
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            L.cross_entropy(Tensor([[0.5, 0.5]]), 2)
+            L.cross_entropy_rows(Tensor([[0.5, 0.5]]), [2])
 
     def test_gradients(self, rng):
         probs = rng.dirichlet(np.ones(5), size=3)
@@ -45,6 +45,72 @@ class TestCrossEntropy:
         for form in ("as_printed", "softmax_ce"):
             err = grad_check(lambda: L.cross_entropy_rows(x, [1, 0, 4], form), [x])
             assert err < 1e-5
+
+
+def clamp_log_chain(p, targets, form, c):
+    """Value and probability gradient of c * cross-entropy as the chain of
+    generic primitives computed it before the fused primitive: clamp, log, a
+    product with a dense one-hot matrix and a full sum, per term. Dense numpy,
+    each backward step in that chain's own operation order."""
+    eps = L.PROB_EPS
+    g, n = p.shape
+    onehot = np.zeros((g, n))
+    onehot[np.arange(g), targets] = 1.0
+    cp = np.clip(p, eps, 1.0 - eps)
+    pos = (np.log(cp) * onehot).sum()
+    d_pos = ((np.full((g, n), -c) * onehot) / cp) * ((p > eps) & (p < 1.0 - eps))
+    if form == "softmax_ce":
+        return -pos, d_pos
+    q = -1.0 * p + 1.0
+    cq = np.clip(q, eps, 1.0 - eps)
+    neg = (np.log(cq) * (1.0 - onehot)).sum()
+    d_neg = ((np.full((g, n), -c) * (1.0 - onehot)) / cq) * ((q > eps) & (q < 1.0 - eps))
+    return -(pos + neg), d_neg * -1.0 + d_pos
+
+
+class TestFusedCrossEntropy:
+    # row 0: target below the clamp; row 1: a non-target above 1 - eps;
+    # row 2: target above 1 - eps and a non-target at exactly 0;
+    # row 3: a target exactly 1; row 4: target and a non-target exactly at eps,
+    # where the clamp's open interval already bites; rows 5-6: softmax rows
+    @staticmethod
+    def probs():
+        rng = np.random.default_rng(3)
+        p = rng.dirichlet(np.ones(6), size=7)
+        p[0] = [1e-14, 0.5, 0.25, 0.25 - 1e-14, 0.0, 0.0]
+        p[1] = [1e-13, 1.0 - 1e-13, 0.0, 0.0, 0.0, 0.0]
+        p[2] = [0.0, 0.0, 1.0 - 1e-13, 1e-13, 0.0, 0.0]
+        p[3] = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        p[4] = [0.5, 1e-12, 1e-12, 0.25, 0.25 - 2e-12, 0.0]
+        return p, np.array([0, 0, 2, 3, 1, 5, 1])
+
+    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
+    @pytest.mark.parametrize("c", [1.0, 0.01])
+    def test_vjp_matches_clamp_log_chain_bit_for_bit(self, form, c):
+        p, targets = self.probs()
+        x = Tensor(p)
+        with T.Tape() as tape:
+            out = L.cross_entropy_rows(x, targets, form)
+            tape.backward(T.scale(out, c))
+        value, grad = clamp_log_chain(p, targets, form, c)
+        # equal floats have equal bits, apart from the sign of a zero
+        assert np.array_equal(x.grad, grad)
+        assert (grad[[0, 2, 3, 4], [0, 2, 3, 1]] == 0.0).all()   # the clamp bites
+        if form == "as_printed":
+            assert grad[1, 1] == 0.0 and grad[2, 0] == 0.0 and grad[4, 2] == 0.0
+        # the sums add the same terms in another order
+        assert out.item() == pytest.approx(value, rel=1e-14)
+
+    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
+    def test_one_tape_record(self, form):
+        p, targets = self.probs()
+        with T.Tape() as tape:
+            L.cross_entropy_rows(Tensor(p), targets, form)
+        assert len(tape.records) == 1
+
+    def test_unknown_form(self):
+        with pytest.raises(ValueError, match="ce_form"):
+            L.cross_entropy_rows(Tensor([[0.5, 0.5]]), [0], "hinge")
 
 
 class TestSinglePositiveLoss:
@@ -152,8 +218,3 @@ class TestTotalLoss:
         ce = Tensor([[0.4]])
         total, breakdown = L.total_loss(ce, None, beta=1.0)
         assert total.item() == pytest.approx(0.4) and breakdown.l_spl == 0.0
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        L.LossConfig(tau=0.0)

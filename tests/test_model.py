@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sessrec import model as M
 from sessrec import graph as G
 from sessrec.model import Hyperparams
-from sessrec.tensor import Tensor
+from sessrec.tensor import Tape, Tensor
 
 
 def np_softmax_rows(x):
@@ -207,17 +207,25 @@ class TestSessionAttention:
 
 class TestScorePredict:
     def test_dot_products(self):
-        z = M.score(Tensor([[1.0, 0.0]]), Tensor([[2.0, 3.0], [0.0, 5.0]]))
+        # items (2, 3) and (0, 5), passed as the d x n transposed table
+        z = M.score(Tensor([[1.0, 0.0]]), Tensor([[2.0, 0.0], [3.0, 5.0]]))
         np.testing.assert_allclose(z.data, [[2.0, 0.0]])
 
     def test_identical_items_give_uniform(self, rng):
         x_v = Tensor(np.tile(rng.standard_normal(3), (4, 1)))
-        y = M.predict(M.score(Tensor(rng.standard_normal((1, 3))), x_v))
+        y = M.predict(M.score(Tensor(rng.standard_normal((1, 3))), Tensor(x_v.data.T)))
         np.testing.assert_allclose(y.data, 0.25, atol=1e-12)
 
     def test_hand_softmax(self):
         y = M.predict(Tensor([[np.log(2.0), 0.0]]))
         np.testing.assert_allclose(y.data, [[2 / 3, 1 / 3]], atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["tau", "beta", "lr", "l2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400])
+def test_hyperparams_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Hyperparams(**{name: value}).validate()
 
 
 class TestInitParams:
@@ -319,3 +327,15 @@ def test_batched_forward_matches_per_session():
         want = np.vstack([oracle_scores(p[-4:], x_v.data, params.tensors,
                                         use_reverse_pos) for p in prefixes])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_forward_groups_transposes_item_table_once():
+    # every length group scores against the same d x n transposed table
+    _, _, hyper, params = make_setup(n=6, d=4)
+    x_v = Tensor(np.random.default_rng(2).standard_normal((6, 4)))
+    with Tape() as tape:
+        groups = list(M.forward_groups([(0,), (1, 2), (3, 4, 5), (2,)], x_v, params, hyper))
+    assert len(groups) == 3
+    transposes = [out for out, inputs, _ in tape.records
+                  if inputs == (x_v,) and out.shape == (4, 6)]
+    assert len(transposes) == 1
