@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -267,12 +268,7 @@ def cmd_eval(args) -> int:
     bundle = data_mod.load_bundle(args.data)
     params, _state, hyper, _vh = train_mod.load_checkpoint(
         args.checkpoint, expected_vocab_hash=vocab_hash(bundle.vocab))
-    if bundle.graph is not None and bundle.graph_epsilon == hyper.epsilon:
-        graph = bundle.graph
-    else:
-        graph = graph_mod.build_global_graph(bundle.sessions_train, bundle.vocab.n,
-                                             graph_mod.GraphConfig(hyper.epsilon))
-    anorm = graph_mod.row_normalize(graph)
+    anorm = graph_mod.bundle_adjacency(bundle, hyper.epsilon)
     x_v = model_mod.propagate(params["item_emb"], anorm, params,
                               hyper.num_layers, hyper.use_attention)
     report = eval_mod.evaluate_model(bundle.test, x_v, params, hyper, ks=ks)
@@ -286,6 +282,8 @@ def cmd_gradcheck(args) -> int:
     from .tensor import grad_check
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance}")
     with config_errors():
         hyper = Hyperparams(d=args.d, num_layers=args.layers, tau=args.tau,
                             beta=args.beta, max_session_len=6, seed=args.seed,

@@ -16,6 +16,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
+import numpy as np
+
 BUNDLE_FORMAT_VERSION = 1
 
 
@@ -349,12 +351,17 @@ def bundle_from_dict(doc: dict) -> DatasetBundle:
                   and _ints(list(map(itemgetter(0), edges)), valid)
                   and _ints(list(map(itemgetter(1), edges)), valid)
                   and set(map(type, map(itemgetter(2), edges))) <= {int, float})
-        except (TypeError, KeyError):   # edges, or an edge, that is not a list
+            g = graph_mod.edges_from_list(n, edges) if ok else None
+        except (TypeError, KeyError, OverflowError):   # not a list, or a huge int weight
             ok = False
         if not ok:
             raise DataError("bundle field 'graph' must hold epsilon >= 1 and "
                             f"[src, dst, weight] edges with src, dst in [0, {n})")
-        bundle.graph = graph_mod.edges_from_list(n, edges)
+        repeated = (g.src[1:] == g.src[:-1]) & (g.dst[1:] == g.dst[:-1])
+        if not np.all(np.isfinite(g.weight) & (g.weight > 0)) or repeated.any():
+            raise DataError("bundle field 'graph' must hold one edge per [src, dst] "
+                            "pair, each with a finite weight > 0")
+        bundle.graph = g
         bundle.graph_epsilon = epsilon
     return bundle
 

@@ -1,7 +1,7 @@
 """Ranking metrics P@K and MRR@K, plus a popularity baseline sanity floor."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -11,15 +11,6 @@ from . import model as model_mod
 
 class EvalError(ValueError):
     pass
-
-
-@dataclass
-class EvalConfig:
-    ks: list = field(default_factory=lambda: [10, 20])
-
-    def __post_init__(self):
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise EvalError("every K must be >= 1")
 
 
 @dataclass
@@ -46,11 +37,6 @@ def ranks(scores, targets) -> np.ndarray:
     higher = (s > st).sum(axis=1)
     tied_before = ((s == st) & (np.arange(s.shape[1]) < targets[:, None])).sum(axis=1)
     return 1 + higher + tied_before
-
-
-def rank_target(scores, target: int) -> int:
-    """1-based rank of the target; equal scores break by ascending index."""
-    return int(ranks(np.reshape(scores, (1, -1)), [target])[0])
 
 
 def precision_at_k(ranks, k: int) -> float:

@@ -177,13 +177,6 @@ def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams)
     return predict(scores)
 
 
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k item indices, descending score, ties broken by ascending index."""
-    scores = np.asarray(scores).ravel()
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return order[:k]
-
-
 def group_by_length(prefixes, max_session_len: int):
     """Group prefixes by (truncated) length; returns {m: (positions, items g x m)}.
 

@@ -26,15 +26,15 @@ class SynthSpec:
     seed: int = 7
 
     def validate(self):
-        if self.n_chains < 1 or self.chain_len < 1:
-            raise ValueError("n_chains and chain_len must be >= 1")
+        # a one-item walk is no session, and a split needs two sessions
+        for name, low in (("n_chains", 1), ("chain_len", 2), ("n_sessions", 2), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.n_chains * self.chain_len > self.n_items:
             raise ValueError(f"{self.n_chains} chains of {self.chain_len} items do not "
                              f"fit in the item universe of {self.n_items}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         return self
 
 

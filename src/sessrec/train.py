@@ -80,14 +80,8 @@ def _evaluate(bundle: DatasetBundle, params: ModelParams, anorm, hyper: Hyperpar
 def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
           ks=(10, 20), log_stream=None) -> TrainResult:
     hyper.validate()
-    n = bundle.vocab.n
-    if bundle.graph is not None and bundle.graph_epsilon == hyper.epsilon:
-        graph = bundle.graph
-    else:
-        graph = graph_mod.build_global_graph(bundle.sessions_train, n,
-                                             graph_mod.GraphConfig(hyper.epsilon))
-    anorm = graph_mod.row_normalize(graph)
-    params = model_mod.init_params(n, hyper)
+    anorm = graph_mod.bundle_adjacency(bundle, hyper.epsilon)
+    params = model_mod.init_params(bundle.vocab.n, hyper)
     adam = Adam(params.tensors, lr=hyper.lr, l2=hyper.l2)
     rng = np.random.default_rng(hyper.seed)
     out_dir = Path(out_dir) if out_dir is not None else None

@@ -211,6 +211,38 @@ def test_bad_hyperparameter_exit_code(tmp_path, synth_bundle, flag, value):
     assert not (tmp_path / "x" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("case", ["nan-weight", "zero-weight", "negative-weight",
+                                  "repeated-edge"])
+def test_bad_bundle_graph_exit_code(tmp_path, synth_bundle, case):
+    with_graph = tmp_path / "g.json"
+    assert run("build-graph", "--in", str(synth_bundle), "--out",
+               str(with_graph)) == EXIT_OK
+    doc = json.loads(with_graph.read_text())
+    edges = doc["graph"]["edges"]
+    if case == "repeated-edge":
+        edges.append(list(edges[0]))
+    else:
+        edges[0][2] = {"nan-weight": float("nan"), "zero-weight": 0.0,
+                       "negative-weight": -0.5}[case]
+    with_graph.write_text(json.dumps(doc))
+    assert run("train", "--data", str(with_graph), "--out", str(tmp_path / "run"),
+               "--d", "4", "--layers", "0", "--epochs", "1") == EXIT_DATA
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("ks", ["0", "10,x"])
+def test_bad_ks_exit_code(tmp_path, synth_bundle, command, ks):
+    if command == "train":
+        argv = ["train", "--data", str(synth_bundle), "--out", str(tmp_path / "x"),
+                "--d", "4", "--layers", "0", "--epochs", "1"]
+    else:
+        argv = ["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--data",
+                str(synth_bundle), "--out", str(tmp_path / "m.json")]
+    assert run(*argv, "--ks", ks) == EXIT_CONFIG
+    assert not (tmp_path / "x").exists() and not (tmp_path / "m.json").exists()
+
+
 def test_build_graph_bad_epsilon_exit_code(tmp_path, synth_bundle):
     out = tmp_path / "g.json"
     assert run("build-graph", "--in", str(synth_bundle), "--out", str(out),
@@ -219,7 +251,8 @@ def test_build_graph_bad_epsilon_exit_code(tmp_path, synth_bundle):
 
 
 @pytest.mark.parametrize("flag,value", [("--d", "0"), ("--layers", "-1"), ("--n", "0"),
-                                        ("--tau", "nan"), ("--seed", "-1")])
+                                        ("--tau", "nan"), ("--seed", "-1"),
+                                        ("--tolerance", "nan"), ("--tolerance", "-1")])
 def test_gradcheck_bad_config_exit_code(flag, value):
     assert run("gradcheck", flag, value) == EXIT_CONFIG
 
@@ -227,6 +260,13 @@ def test_gradcheck_bad_config_exit_code(flag, value):
 def test_synth_chains_must_fit_exit_code(tmp_path):
     assert run("synth", "--out", str(tmp_path / "s.json"), "--n-items",
                "50") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag,value", [("--sessions", "0"), ("--sessions", "1"),
+                                        ("--chain-len", "1")])
+def test_synth_bad_size_exit_code(tmp_path, flag, value):
+    assert run("synth", "--out", str(tmp_path / "s.json"), flag, value) == EXIT_CONFIG
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_synth_negative_seed_exit_code(tmp_path):

@@ -209,12 +209,15 @@ def test_preprocess_config_validation(field, value):
 
 class TestBundleSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
+        from sessrec import graph as G
         events = events_for([["a", "b", "c"], ["c", "a", "b"]], repeat=4)
         bundle = make_bundle(events, PreprocessConfig(min_item_freq=2))
         p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
-        save_bundle(bundle, p1)
-        save_bundle(load_bundle(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for graph in (None, G.build_global_graph(bundle.sessions_train, bundle.vocab.n)):
+            bundle.graph, bundle.graph_epsilon = graph, 3
+            save_bundle(bundle, p1)
+            save_bundle(load_bundle(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_version_check(self):
         doc = bundle_to_dict(make_bundle(events_for([["a", "b"]], repeat=3),
@@ -252,7 +255,8 @@ def broken_bundle_doc(draw):
     doc = valid_bundle_doc()
     n = len(doc["vocab"])
     kind = draw(st.sampled_from(["drop", "retype", "bad_row", "bad_item",
-                                 "bad_target", "bad_edge", "empty_prefix"]))
+                                 "bad_target", "bad_edge", "bad_weight", "dup_edge",
+                                 "empty_prefix"]))
     bad_index = draw(st.one_of(st.integers(n, n + 100), st.integers(-100, -1),
                                st.sampled_from([1.5, "0", None, True, [0]])))
     if kind == "drop":
@@ -274,6 +278,15 @@ def broken_bundle_doc(draw):
     elif kind == "bad_edge":
         edges = doc["graph"]["edges"]
         edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = bad_index
+    elif kind == "bad_weight":
+        edges = doc["graph"]["edges"]
+        edges[draw(st.integers(0, len(edges) - 1))][2] = draw(st.sampled_from(
+            [float("nan"), float("inf"), -float("inf"), 0, 0.0, -0.0, -1, -0.5, 10 ** 400]))
+    elif kind == "dup_edge":
+        edges = doc["graph"]["edges"]
+        src, dst, _ = edges[draw(st.integers(0, len(edges) - 1))]
+        edges.insert(draw(st.integers(0, len(edges))),
+                     [src, dst, draw(st.floats(0.1, 10.0))])
     else:
         rows = doc[draw(st.sampled_from(["train", "test"]))]
         rows[draw(st.integers(0, len(rows) - 1))][0] = []

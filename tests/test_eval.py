@@ -3,25 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessrec.evaluate import (EvalConfig, EvalError, mrr_at_k, popularity_baseline,
-                              precision_at_k, rank_target, ranks, report_from_ranks)
+from sessrec.evaluate import (EvalError, mrr_at_k, popularity_baseline, precision_at_k,
+                              ranks, report_from_ranks)
 from conftest import indexed_bundle
 
 
 class TestRankTarget:
+    """The one-row case of ranks."""
+
     def test_unique_max_is_rank_one(self):
-        assert rank_target([0.1, 5.0, 0.2], 1) == 1
+        assert ranks([[0.1, 5.0, 0.2]], [1]).tolist() == [1]
 
     def test_definitional(self):
-        assert rank_target([3.0, 2.0, 1.0], 2) == 3
+        assert ranks([[3.0, 2.0, 1.0]], [2]).tolist() == [3]
 
     def test_all_equal_breaks_by_index(self):
-        assert rank_target(np.zeros(10), 4) == 5
+        assert ranks(np.zeros((1, 10)), [4]).tolist() == [5]
 
     def test_shift_invariance(self):
-        scores = np.array([0.3, -1.0, 2.0, 0.3])
+        scores = np.array([[0.3, -1.0, 2.0, 0.3]])
         for t in range(4):
-            assert rank_target(scores, t) == rank_target(scores + 42.0, t)
+            assert ranks(scores, [t]) == ranks(scores + 42.0, [t])
 
 
 def per_row_rank(scores, target):
@@ -41,7 +43,7 @@ def test_vectorised_ranks_match_per_row_rule_with_ties(g, n, seed):
     got = ranks(scores, targets)
     assert got.tolist() == [per_row_rank(scores[i].tolist(), int(targets[i]))
                             for i in range(g)]
-    assert [rank_target(scores[i], targets[i]) for i in range(g)] == got.tolist()
+    assert [ranks(scores[i:i + 1], targets[i:i + 1])[0] for i in range(g)] == got.tolist()
 
 
 class TestMetrics:
@@ -72,11 +74,6 @@ class TestMetrics:
         lo, hi = min(k1, k2), max(k1, k2)
         assert precision_at_k(ranks, hi) >= precision_at_k(ranks, lo)
         assert mrr_at_k(ranks, hi) >= mrr_at_k(ranks, lo)
-
-
-def test_eval_config_validation():
-    with pytest.raises(EvalError):
-        EvalConfig(ks=[0])
 
 
 def test_report_structure():

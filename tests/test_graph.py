@@ -1,13 +1,14 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessrec.graph import (GlobalGraph, GraphConfig, build_global_graph,
+from sessrec.graph import (GraphConfig, build_global_graph, bundle_adjacency,
                            edges_from_list, edges_to_list, export_edge_list,
-                           graph_stats, row_normalize, session_edges)
+                           graph_stats, row_normalize)
 
 
 def oracle_edges(sessions, epsilon):
@@ -23,6 +24,19 @@ def oracle_edges(sessions, epsilon):
     return edges
 
 
+def reference_edges(sessions, epsilon):
+    """Float sums in occurrence order: session, then position, then hop."""
+    edges = {}
+    for items in sessions:
+        for i in range(len(items)):
+            for dist in range(1, epsilon + 1):
+                if i + dist >= len(items):
+                    break
+                key = (items[i], items[i + dist])
+                edges[key] = edges.get(key, 0.0) + 1.0 / (1 + dist)
+    return edges
+
+
 def assert_matches_oracle(sessions, n, epsilon):
     got = build_global_graph(sessions, n, GraphConfig(epsilon)).edges
     want = oracle_edges(sessions, epsilon)
@@ -31,9 +45,21 @@ def assert_matches_oracle(sessions, n, epsilon):
         assert abs(got[key] - float(w)) < 1e-12
 
 
-def test_session_edges_three_items():
-    got = session_edges([0, 1, 2], 3)
-    assert sorted(got) == [(0, 1, 0.5), (0, 2, 1 / 3), (1, 2, 0.5)]
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), max_size=9), max_size=8),
+       st.integers(1, 12))
+def test_arrays_equal_occurrence_order_reference_bit_for_bit(sessions, epsilon):
+    # empty and one-item sessions, repeated items, and epsilon beyond every session
+    g = build_global_graph(sessions, 6, GraphConfig(epsilon))
+    want = sorted(reference_edges(sessions, epsilon).items())
+    assert g.src.tolist() == [s for (s, _), _ in want]
+    assert g.dst.tolist() == [d for (_, d), _ in want]
+    assert g.weight.tobytes() == np.array([w for _, w in want]).tobytes()
+
+
+def test_one_session_three_items():
+    g = build_global_graph([[0, 1, 2]], 3, GraphConfig(3))
+    assert edges_to_list(g) == [[0, 1, 0.5], [0, 2, 1 / 3], [1, 2, 0.5]]
 
 
 def test_adjacent_pair_in_two_sessions_sums_to_one():
@@ -43,7 +69,7 @@ def test_adjacent_pair_in_two_sessions_sums_to_one():
 
 
 def test_single_item_session_has_no_edges():
-    assert session_edges([5], 3) == []
+    assert build_global_graph([[5]], 6, GraphConfig(3)).src.size == 0
     g = build_global_graph([[0], [1], [2]], 3, GraphConfig(2))
     assert g.edges == {}
 
@@ -60,7 +86,8 @@ def test_epsilon_one_restricts_to_adjacent():
 
 
 def test_monotone_hop_weights():
-    weights = {dst: w for src, dst, w in session_edges(list(range(5)), 4) if src == 0}
+    g = build_global_graph([list(range(5))], 5, GraphConfig(4))
+    weights = {dst: w for (src, dst), w in g.edges.items() if src == 0}
     assert weights[1] > weights[2] > weights[3] > weights[4]
 
 
@@ -95,7 +122,7 @@ def test_epsilon_truncation():
 
 
 def test_row_normalize_hand_values():
-    g = GlobalGraph(n=3, edges={(0, 1): 0.5, (0, 2): 1 / 3})
+    g = edges_from_list(3, [[0, 1, 0.5], [0, 2, 1 / 3]])
     a = row_normalize(g).matrix.toarray()
     np.testing.assert_allclose(a[0], [0.0, 3 / 5, 2 / 5], atol=1e-15)
     np.testing.assert_allclose(a[1], 0.0)
@@ -104,7 +131,7 @@ def test_row_normalize_hand_values():
 
 def test_row_normalize_single_edge_any_weight():
     for w in (0.07, 1.0, 42.0):
-        g = GlobalGraph(n=2, edges={(0, 1): w})
+        g = edges_from_list(2, [[0, 1, w]])
         assert row_normalize(g).matrix.toarray()[0, 1] == pytest.approx(1.0)
 
 
@@ -119,8 +146,8 @@ def test_row_stochasticity(sessions):
 
 
 def test_graph_stats():
-    assert graph_stats(GlobalGraph(n=3, edges={}))["n_edges"] == 0
-    stats = graph_stats(GlobalGraph(n=4, edges={(0, 1): 1.0}))
+    assert graph_stats(edges_from_list(3, []))["n_edges"] == 0
+    stats = graph_stats(edges_from_list(4, [[0, 1, 1.0]]))
     assert stats["n_edges"] == 1
     assert stats["out_degree_hist"] == {1: 1, 0: 3}
 
@@ -132,12 +159,32 @@ def test_graph_stats_match_oracle_on_toy():
 
 
 def test_export_edge_list_sorted():
-    g = GlobalGraph(n=3, edges={(2, 0): 1.0, (0, 1): 0.5})
+    g = edges_from_list(3, [[2, 0, 1.0], [0, 1, 0.5]])
     lines = export_edge_list(g).splitlines()
     assert lines == ["0\t1\t0.5", "2\t0\t1.0"]
 
 
 def test_edge_list_round_trip():
     g = build_global_graph([[0, 1, 2], [1, 0]], 3, GraphConfig(2))
-    again = edges_from_list(3, edges_to_list(g))
-    assert again.edges == g.edges
+    again = edges_from_list(3, edges_to_list(g)[::-1])
+    for name in ("src", "dst", "weight"):
+        assert getattr(again, name).tobytes() == getattr(g, name).tobytes()
+
+
+def test_edges_mapping_is_read_only():
+    g = build_global_graph([[0, 1]], 2, GraphConfig(1))
+    with pytest.raises(TypeError):
+        g.edges[(1, 0)] = 1.0
+    assert g.edges == {(0, 1): 0.5}
+
+
+def test_bundle_adjacency_uses_attached_graph_only_at_its_epsilon():
+    sessions = [[0, 1, 2]]
+    attached = edges_from_list(3, [[2, 0, 1.0]])
+    bundle = SimpleNamespace(graph=attached, graph_epsilon=2, sessions_train=sessions,
+                             vocab=SimpleNamespace(n=3))
+    same = bundle_adjacency(bundle, 2).matrix.toarray()
+    np.testing.assert_array_equal(same, row_normalize(attached).matrix.toarray())
+    built = bundle_adjacency(bundle, 1).matrix.toarray()
+    want = row_normalize(build_global_graph(sessions, 3, GraphConfig(1))).matrix.toarray()
+    np.testing.assert_array_equal(built, want)

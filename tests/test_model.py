@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sessrec import model as M
 from sessrec import graph as G
+from sessrec.evaluate import ranks
 from sessrec.model import Hyperparams
 from sessrec.tensor import Tape, Tensor
 
@@ -100,7 +101,7 @@ class TestGcnLayer:
         np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
     def test_zero_row_gives_zero_output(self, rng):
-        g = G.GlobalGraph(n=3, edges={(0, 1): 1.0})
+        g = G.edges_from_list(3, [[0, 1, 1.0]])
         anorm = G.row_normalize(g)
         out = M.gcn_layer(anorm, Tensor(rng.standard_normal((3, 3))),
                           Tensor(rng.standard_normal((3, 3))))
@@ -267,14 +268,19 @@ def test_shape_chain_and_probability_vector(n, d, layers, m, seed):
     assert abs(y.data.sum() - 1.0) < 1e-9
 
 
+def every_item_rank(scores):
+    """The rank of each item of one score row, as a target."""
+    return ranks(np.tile(scores, (scores.size, 1)), np.arange(scores.size))
+
+
 def test_argmax_invariance_under_score_shift(rng):
     scores = rng.standard_normal(20)
-    assert np.array_equal(M.top_k(scores, 5), M.top_k(scores + 7.5, 5))
+    assert np.array_equal(every_item_rank(scores), every_item_rank(scores + 7.5))
 
 
-def test_top_k_tie_break_ascending_index():
+def test_rank_tie_break_ascending_index():
     scores = np.array([1.0, 2.0, 2.0, 0.5])
-    np.testing.assert_array_equal(M.top_k(scores, 3), [1, 2, 0])
+    np.testing.assert_array_equal(every_item_rank(scores), [3, 1, 2, 4])
 
 
 def test_ablation_reduces_to_lookup_plus_pooling():
