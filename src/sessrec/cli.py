@@ -24,6 +24,7 @@ from . import model as model_mod
 from . import synth as synth_mod
 from . import train as train_mod
 from .data import DataError, PreprocessConfig, vocab_hash
+from .evaluate import EvalError
 from .model import Hyperparams
 from .optim import NumericError
 from .train import CheckpointError
@@ -318,7 +319,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, EvalError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CheckpointError as e:

@@ -7,6 +7,12 @@ reverse and accumulates gradients into ``Tensor.grad``.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -117,8 +123,7 @@ def sparse_matmul(s, b: Tensor) -> Tensor:
     if s.shape[1] != b.shape[0]:
         raise ShapeError(f"sparse_matmul: inner dimensions of {s.shape} and {b.shape} disagree")
     out = Tensor(np.asarray(s @ b.data))
-    st = s.T.tocsr()
-    Tape._record(out, (b,), lambda g: (np.asarray(st @ g),))
+    Tape._record(out, (b,), lambda g: (np.asarray(s.T.tocsr() @ g),))
     return out
 
 
@@ -177,8 +182,8 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = np.where(x.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    e = np.exp(-np.abs(x.data))
+    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
     Tape._record(out, (x,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -298,11 +303,26 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 # holds whole rows of the n x n score matrix, so the forward pass needs no
 # online softmax recurrence; it saves the n x 1 row log-normaliser, and the
 # backward pass recomputes each tile's probabilities as exp(scores - lse).
-# Peak memory is the inputs plus a few tiles of about TILE_ENTRIES entries,
-# never an n x n array (FlashAttention, Dao et al. 2022).
+# Peak memory is the inputs plus a few tiles of about TILE_ENTRIES entries
+# per thread at work, never an n x n array (FlashAttention, Dao et al. 2022).
+#
+# The tiles are independent, so when numpy's OpenBLAS runs on one thread,
+# _tile_map runs them on up to WORKERS threads (FlashAttention-2, Dao 2023);
+# numpy releases the GIL inside BLAS calls and large ufuncs. The calling
+# thread is one of them: each extra thread keeps its own malloc arena, which
+# holds on to the tiles it freed and adds to peak memory. Tile boundaries
+# depend on n alone, forward tiles write disjoint rows, and the calling thread
+# adds the backward column terms in tile order, so the bytes do not depend on
+# the worker count. A threaded OpenBLAS already splits each tile's products
+# over the cores; the loop then stays serial, because its idle threads spin
+# after every call and would compete with the tile threads, and because its
+# threaded products round differently from its single-threaded ones.
 # ---------------------------------------------------------------------------
 
 TILE_ENTRIES = 2 ** 20   # float64 score entries per row tile (8 MiB)
+# threads on the row tiles, the calling one included, at most 4; 1 runs them inline
+WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, 4)
 
 
 def _row_tiles(n: int):
@@ -310,6 +330,46 @@ def _row_tiles(n: int):
     step = max(1, TILE_ENTRIES // max(n, 1))
     for i in range(0, n, step):
         yield slice(i, min(i + step, n))
+
+
+@functools.cache
+def _openblas():
+    """The OpenBLAS library that numpy loaded, or None when it or its
+    thread-count getter cannot be found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        return lib
+    return None
+
+
+def _tile_map(fn, n: int):
+    """Yield fn(t) for each row tile t of range(n), in tile order.
+
+    When there are several tiles and OpenBLAS runs on one thread, the tiles
+    go in chunks of WORKERS: the calling thread runs the first of each chunk
+    and a pool of WORKERS - 1 threads, alive for this call only, the rest.
+    Otherwise they run inline, and OpenBLAS's own threads, if any, split each
+    tile's products.
+    """
+    tiles = list(_row_tiles(n))
+    blas = _openblas()
+    if (WORKERS < 2 or len(tiles) < 2 or blas is None
+            or blas.scipy_openblas_get_num_threads64_() != 1):
+        yield from map(fn, tiles)
+        return
+    # leaving the block, on success or failure, waits for every tile it started
+    with ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="sessrec-tile") as pool:
+        for i in range(0, len(tiles), WORKERS):
+            first, *rest = tiles[i:i + WORKERS]
+            futures = [pool.submit(fn, t) for t in rest]
+            results = [fn(first)] + [f.result() for f in futures]
+            yield from results
 
 
 def _exp_rows_(s: np.ndarray):
@@ -341,10 +401,14 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = xd @ wd + b.data
     out = np.empty_like(xd)
     lse = np.empty((n, 1))
-    for t in _row_tiles(n):
+
+    def forward_tile(t):
         e = y[t] @ xd.T
         lse[t], total = _exp_rows_(e)
         out[t] = (e @ xd) / total
+
+    for _ in _tile_map(forward_tile, n):
+        pass
     result = Tensor(out)
 
     def vjp(g):
@@ -353,14 +417,18 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         dxt = np.zeros((d, n))
         dy = np.empty_like(y)
         rowdot = (g * out).sum(axis=1, keepdims=True)
-        for t in _row_tiles(n):
+
+        def backward_tile(t):
             p = _probs(y[t] @ xd.T, lse[t])
             ds = g[t] @ xd.T
             ds -= rowdot[t]
             ds *= p
-            dxt += g[t].T @ p
-            dxt += y[t].T @ ds
             dy[t] = ds @ xd
+            return g[t].T @ p, y[t].T @ ds
+
+        for gp, yds in _tile_map(backward_tile, n):
+            dxt += gp
+            dxt += yds
         dx = dy @ wd.T
         dx += dxt.T
         return dx, xd.T @ dy, dy.sum(axis=0, keepdims=True)
@@ -374,22 +442,30 @@ def gram_logsumexp(x: Tensor, c: float) -> Tensor:
     xd = x.data
     n, d = xd.shape
     lse = np.empty((n, 1))
-    for t in _row_tiles(n):
+
+    def forward_tile(t):
         s = xd[t] @ xd.T
         s *= c
         lse[t], _ = _exp_rows_(s)
+
+    for _ in _tile_map(forward_tile, n):
+        pass
     out = Tensor(np.array([[lse.sum()]]))
 
     def vjp(g):
         # dX = g c (P + P^T) X with P the row softmax of c X X^T
         dx = np.empty_like(xd)
         dxt = np.zeros((d, n))
-        for t in _row_tiles(n):
+
+        def backward_tile(t):
             s = xd[t] @ xd.T
             s *= c
             p = _probs(s, lse[t])
             dx[t] = p @ xd
-            dxt += xd[t].T @ p
+            return xd[t].T @ p
+
+        for xp in _tile_map(backward_tile, n):
+            dxt += xp
         dx += dxt.T
         return (dx * (g[0, 0] * c),)
 

@@ -1,9 +1,12 @@
+import ctypes
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from sessrec import tensor as T
 from sessrec.data import DatasetBundle, Session, TrainExample, Vocab, augment
 from sessrec.train import CHECKPOINT_MAGIC
 
@@ -44,3 +47,32 @@ def rewrite_meta(raw: bytes, edit) -> bytes:
     (meta_len,) = struct.unpack_from("<Q", raw, head)
     body = json.dumps(edit(json.loads(raw[head + 8:head + 8 + meta_len]))).encode()
     return CHECKPOINT_MAGIC + struct.pack("<Q", len(body)) + body + raw[head + 8 + meta_len:]
+
+
+@pytest.fixture
+def tile_pool(monkeypatch):
+    """Run the fused kernels' row tiles on 2 threads for the test: the calling
+    one and a pool thread.
+
+    The pool runs only while numpy's OpenBLAS is on one thread, as under
+    OPENBLAS_NUM_THREADS=1, so the fixture holds it there and restores the
+    count afterwards. Returns the list of tiles submitted to the pool.
+    """
+    lib = T._openblas()
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read")
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, tile):
+            submitted.append(tile)
+            return super().submit(fn, tile)
+
+    monkeypatch.setattr(T, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(T, "WORKERS", 2)
+    put = lib.scipy_openblas_set_num_threads64_
+    put.restype, put.argtypes = None, [ctypes.c_int]
+    before = lib.scipy_openblas_get_num_threads64_()
+    put(1)
+    yield submitted
+    put(before)

@@ -114,11 +114,12 @@ def test_criterion_1_graph_oracle_equivalence():
 # criterion 2: gradient correctness
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_gradient_correctness(monkeypatch):
+def test_criterion_2_gradient_correctness(monkeypatch, tile_pool):
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
     # row tiles of 3 rows for the 7-row fused primitives (2 for the 8-item toy
-    # model), so every tiled primitive is checked across several tiles
+    # model), so every tiled primitive is checked across several tiles, which
+    # run on 2 threads
     monkeypatch.setattr(T, "TILE_ENTRIES", 21)
 
     # every primitive individually < 1e-6
@@ -189,7 +190,9 @@ def test_criterion_2_gradient_correctness(monkeypatch):
         total, _ = TR.batch_loss(examples, anorm, params, hyper)
         return total
 
+    pooled = len(tile_pool)
     full_err = grad_check(full_loss, list(params.tensors.values()))
+    assert len(tile_pool) > pooled, "the full loss never ran on the tile pool"
     elapsed = time.monotonic() - t0
     report("criterion-2 gradients",
            full_err < 1e-4 and elapsed < 30.0,

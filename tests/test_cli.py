@@ -1,9 +1,11 @@
 import json
 import shlex
+import threading
 from pathlib import Path
 
 import pytest
 
+from sessrec import tensor as T
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                          EXIT_OK, build_parser, main)
 from conftest import rewrite_meta
@@ -289,3 +291,41 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_empty_test_set_exit_code(tmp_path, capsys):
+    # two synthetic sessions leave no test window, so no test examples
+    bundle = tmp_path / "b.json"
+    assert run("synth", "--out", str(bundle), "--sessions", "2", "--seed", "1") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["n_test_examples"] == 0
+    small = ("--d", "4", "--layers", "1")
+    assert run("train", "--data", str(bundle), "--out", str(tmp_path / "r"),
+               "--epochs", "1", *small) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: empty test set\n"
+    assert run("train", "--data", str(bundle), "--out", str(tmp_path / "r0"),
+               "--epochs", "0", *small) == EXIT_OK
+    assert run("eval", "--checkpoint", str(tmp_path / "r0" / "last.ckpt"),
+               "--data", str(bundle), "--out", str(tmp_path / "e.json")) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: empty test set\n"
+
+
+def test_train_on_the_tile_pool_matches_one_worker(tmp_path, synth_bundle, monkeypatch,
+                                                   tile_pool):
+    # 30 items in tiles of 10 rows: attention and SPL run 3 tiles on 2 threads
+    monkeypatch.setattr(T, "TILE_ENTRIES", 300)
+    non_daemon = {t for t in threading.enumerate() if not t.daemon}
+    outputs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        out_dir = tmp_path / f"w{workers}"
+        assert run("train", "--data", str(synth_bundle), "--out", str(out_dir),
+                   "--d", "8", "--layers", "2", "--epochs", "2", "--batch", "16",
+                   "--seed", "3") == EXIT_OK
+        outputs[workers] = [(out_dir / name).read_bytes()
+                            for name in ("metrics.json", "best.ckpt", "last.ckpt")]
+        assert {t for t in threading.enumerate() if not t.daemon} <= non_daemon
+        if workers == 2:
+            assert tile_pool
+            submitted = len(tile_pool)
+    assert len(tile_pool) == submitted
+    assert outputs[2] == outputs[1]

@@ -1,3 +1,7 @@
+import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -314,11 +318,13 @@ def _fwd_bwd_peak(n, d, layer):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("layer", [
+LAYERS = pytest.mark.parametrize("layer", [
     lambda x, w, b: T.sum_all(M.attention_layer(x, w, b)),
     lambda x, w, b: L.single_positive_loss(x, 0.1),
 ], ids=["attention_layer", "single_positive_loss"])
-def test_peak_memory_grows_linearly(monkeypatch, layer):
+
+
+def _assert_linear_peak(monkeypatch, layer):
     # At a fixed tile size, memory is O(n d): doubling n about doubles the peak,
     # which stays far below one dense n x n array. A dense path would quadruple.
     monkeypatch.setattr(T, "TILE_ENTRIES", 2 ** 12)
@@ -326,3 +332,216 @@ def test_peak_memory_grows_linearly(monkeypatch, layer):
     small, large = _fwd_bwd_peak(n, d, layer), _fwd_bwd_peak(2 * n, d, layer)
     assert large <= 2.3 * small
     assert large < (2 * n) ** 2 * 8
+
+
+@LAYERS
+def test_peak_memory_grows_linearly(monkeypatch, layer):
+    _assert_linear_peak(monkeypatch, layer)
+
+
+@LAYERS
+def test_peak_memory_grows_linearly_on_pool(monkeypatch, tile_pool, layer):
+    _assert_linear_peak(monkeypatch, layer)
+    assert tile_pool
+
+
+# ---------------------------------------------------------------------------
+# row tiles on the thread pool
+# ---------------------------------------------------------------------------
+
+def loop_attention(x, w, b, g):
+    """The serial row-tile loop of attention and of the gradients of
+    sum(out * g), in the kernel's order of operations."""
+    n, d = x.shape
+    y = x @ w + b
+    out, lse = np.empty_like(x), np.empty((n, 1))
+    for t in T._row_tiles(n):
+        e = y[t] @ x.T
+        lse[t], total = T._exp_rows_(e)
+        out[t] = (e @ x) / total
+    dxt, dy = np.zeros((d, n)), np.empty_like(y)
+    rowdot = (g * out).sum(axis=1, keepdims=True)
+    for t in T._row_tiles(n):
+        p = T._probs(y[t] @ x.T, lse[t])
+        ds = g[t] @ x.T
+        ds -= rowdot[t]
+        ds *= p
+        dxt += g[t].T @ p
+        dxt += y[t].T @ ds
+        dy[t] = ds @ x
+    dx = dy @ w.T
+    dx += dxt.T
+    return [out, dx, x.T @ dy, dy.sum(axis=0, keepdims=True)]
+
+
+def loop_gram_logsumexp(x, c):
+    """The serial row-tile loop of gram_logsumexp and its gradient."""
+    n, d = x.shape
+    lse = np.empty((n, 1))
+    for t in T._row_tiles(n):
+        s = x[t] @ x.T
+        s *= c
+        lse[t], _ = T._exp_rows_(s)
+    dx, dxt = np.empty_like(x), np.zeros((d, n))
+    for t in T._row_tiles(n):
+        s = x[t] @ x.T
+        s *= c
+        p = T._probs(s, lse[t])
+        dx[t] = p @ x
+        dxt += x[t].T @ p
+    dx += dxt.T
+    return [np.array([[lse.sum()]]), dx * (1.0 * c)]
+
+
+def _kernel_outputs(n):
+    """attention's output and x/w/b gradients, then gram_logsumexp's value and
+    gradient, at n x 4: the bytes of the serial loop, and the dense oracle's
+    values within 1e-10."""
+    rng = np.random.default_rng(n)
+    x, w, b = rng.standard_normal((n, 4)), rng.standard_normal((4, 4)), rng.standard_normal((1, 4))
+    g = rng.standard_normal((n, 4))
+    tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
+    with Tape() as tape:
+        out = T.attention(tx, tw, tb)
+        tape.backward(T.sum_all(T.mul(out, Tensor(g))))
+    want, grads = dense_attention(x, w, b, g)
+    assert _rel(out.data, want) <= 1e-10
+    for t, want_g in zip((tx, tw, tb), grads):
+        assert _rel(t.grad, want_g) <= 1e-10
+    tg = Tensor(x)
+    with Tape() as tape:
+        value = T.gram_logsumexp(tg, 1.3)
+        tape.backward(value)
+    want_v, want_g = dense_gram_logsumexp(x, 1.3)
+    assert abs(value.item() - want_v) <= 1e-10 * abs(want_v)
+    assert _rel(tg.grad, want_g) <= 1e-10
+    got = [out.data, tx.grad, tw.grad, tb.grad, value.data, tg.grad]
+    _assert_same_bytes(got, loop_attention(x, w, b, g) + loop_gram_logsumexp(x, 1.3))
+    return got
+
+
+def _pooled_tiles(tiles, workers):
+    """Tiles of one pass that _tile_map hands to the pool."""
+    return tiles - math.ceil(tiles / workers)
+
+
+def _assert_same_bytes(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# ragged tiles: 7 rows as 3+3+1, 9 rows as 4+4+1, 11 rows as 3+3+3+2
+@pytest.mark.parametrize("n,budget", [(7, 21), (9, 36), (11, 33)])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_gives_the_serial_bytes(monkeypatch, tile_pool, n, budget, workers):
+    monkeypatch.setattr(T, "TILE_ENTRIES", budget)
+    monkeypatch.setattr(T, "WORKERS", 1)
+    serial = _kernel_outputs(n)
+    assert not tile_pool
+    monkeypatch.setattr(T, "WORKERS", workers)
+    pooled = _kernel_outputs(n)
+    # four passes over the tiles (two forwards, two backwards), each with the
+    # first tile of every chunk of `workers` on the calling thread
+    assert len(tile_pool) == 4 * _pooled_tiles(len(list(T._row_tiles(n))), workers)
+    _assert_same_bytes(pooled, serial)
+
+
+def test_pooled_call_keeps_the_blas_thread_count(monkeypatch, tile_pool):
+    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
+    get = T._openblas().scipy_openblas_get_num_threads64_
+    before = get()
+    _kernel_outputs(7)
+    assert tile_pool
+    assert get() == before
+
+
+def test_single_tile_stays_inline(tile_pool):
+    _kernel_outputs(7)   # the default budget holds 7 rows in one tile
+    assert not tile_pool
+
+
+def test_threaded_blas_stays_serial(monkeypatch, tile_pool):
+    # the pool runs only while OpenBLAS is on one thread
+    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
+    put = T._openblas().scipy_openblas_set_num_threads64_   # typed by tile_pool
+    put(2)
+    try:
+        _kernel_outputs(7)
+    finally:
+        put(1)
+    assert not tile_pool
+
+
+def test_missing_openblas_runs_serial_with_same_bytes(monkeypatch, tile_pool):
+    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
+    pooled = _kernel_outputs(7)
+    submitted = len(tile_pool)
+    monkeypatch.setattr(T, "_openblas", lambda: None)
+    serial = _kernel_outputs(7)
+    assert submitted and len(tile_pool) == submitted
+    _assert_same_bytes(serial, pooled)
+
+
+def test_openblas_lookup_without_the_symbol_gives_none(monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(T.ctypes, "CDLL", NoSymbols)
+    assert T._openblas.__wrapped__() is None
+
+
+def test_tile_map_keeps_order_and_one_tile_per_worker(monkeypatch, tile_pool):
+    monkeypatch.setattr(T, "TILE_ENTRIES", 10)   # 10 rows -> 10 one-row tiles
+    monkeypatch.setattr(T, "WORKERS", 3)
+    lock, active, most = threading.Lock(), [0], [0]
+
+    def fn(t):
+        with lock:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+        time.sleep(0.002)
+        with lock:
+            active[0] -= 1
+        return t.start
+
+    assert list(T._tile_map(fn, 10)) == list(range(10))
+    assert len(tile_pool) == _pooled_tiles(10, 3) and 1 <= most[0] <= 3
+
+
+# with 2 workers, tile 4 runs on the calling thread and tile 5 on the pool
+@pytest.mark.parametrize("bad", [4, 5], ids=["calling_thread", "pool_thread"])
+def test_tile_exception_reaches_the_caller(monkeypatch, tile_pool, bad):
+    monkeypatch.setattr(T, "TILE_ENTRIES", 10)
+    finished = []
+
+    def fn(t):
+        if t.start == bad:
+            raise RuntimeError(f"tile {bad} failed")
+        time.sleep(0.02)
+        finished.append(t.start)
+        return t.start
+
+    with pytest.raises(RuntimeError, match=f"tile {bad} failed"):
+        list(T._tile_map(fn, 10))
+    assert (slice(5, 6) in tile_pool) and (slice(4, 5) not in tile_pool)
+    # the failure reaches the caller only after the rest of its chunk is done
+    assert sorted(finished) == [i for i in range(6) if i != bad]
+    assert list(T._tile_map(lambda t: t.start, 10)) == list(range(10))
+
+
+def test_pool_stress_more_workers_than_cores(monkeypatch, tile_pool):
+    # one-row tiles on 6 threads with a tiny switch interval: a lost or
+    # reordered tile result would change the bytes
+    monkeypatch.setattr(T, "TILE_ENTRIES", 40)
+    monkeypatch.setattr(T, "WORKERS", 1)
+    serial = _kernel_outputs(40)
+    monkeypatch.setattr(T, "WORKERS", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            _assert_same_bytes(_kernel_outputs(40), serial)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(tile_pool) == 5 * 4 * _pooled_tiles(40, 6)
+
