@@ -320,7 +320,9 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 # ---------------------------------------------------------------------------
 
 TILE_ENTRIES = 2 ** 20   # float64 score entries per row tile (8 MiB)
-# threads on the row tiles, the calling one included, at most 4; 1 runs them inline
+# threads on the row tiles, the calling one included; 1 runs them inline. The
+# cap of 4 is not measured: only 2 CPUs were, and each extra thread adds about
+# 17 MiB of peak memory at n = 2k (attention's backward P and dS, and its arena).
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 4)
 

@@ -49,18 +49,19 @@ def rewrite_meta(raw: bytes, edit) -> bytes:
     return CHECKPOINT_MAGIC + struct.pack("<Q", len(body)) + body + raw[head + 8 + meta_len:]
 
 
-@pytest.fixture
-def tile_pool(monkeypatch):
-    """Run the fused kernels' row tiles on 2 threads for the test: the calling
-    one and a pool thread.
+class ReportedBlas:
+    """Stands in for numpy's OpenBLAS in tensor._openblas: reports `threads` threads."""
 
-    The pool runs only while numpy's OpenBLAS is on one thread, as under
-    OPENBLAS_NUM_THREADS=1, so the fixture holds it there and restores the
-    count afterwards. Returns the list of tiles submitted to the pool.
-    """
-    lib = T._openblas()
-    if lib is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be read")
+    def __init__(self, threads: int):
+        self.threads = threads
+
+    def scipy_openblas_get_num_threads64_(self) -> int:
+        return self.threads
+
+
+@pytest.fixture
+def pool_submissions(monkeypatch):
+    """The row tiles that tensor._tile_map hands to its thread pool in the test."""
     submitted = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -69,10 +70,34 @@ def tile_pool(monkeypatch):
             return super().submit(fn, tile)
 
     monkeypatch.setattr(T, "ThreadPoolExecutor", CountingPool)
+    return submitted
+
+
+@pytest.fixture
+def tile_pool(monkeypatch, pool_submissions):
+    """Run the fused kernels' row tiles on 2 threads for the test: the calling
+    one and a pool thread. Returns the list of tiles submitted to the pool.
+
+    The pool runs only while numpy's OpenBLAS reports one thread. The fixture
+    puts a library that does in its place, so the pool runs whichever BLAS
+    numpy uses; the tests' products are far too small for a BLAS to split
+    them over threads, so their bytes do not depend on its thread count.
+    """
+    monkeypatch.setattr(T, "_openblas", lambda: ReportedBlas(1))
     monkeypatch.setattr(T, "WORKERS", 2)
+    return pool_submissions
+
+
+@pytest.fixture
+def real_openblas():
+    """numpy's OpenBLAS as tensor._openblas finds it, with a typed thread-count
+    setter; its thread count is restored after the test. Skips the test when
+    the library or its symbols cannot be found."""
+    lib = T._openblas()
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read")
     put = lib.scipy_openblas_set_num_threads64_
     put.restype, put.argtypes = None, [ctypes.c_int]
     before = lib.scipy_openblas_get_num_threads64_()
-    put(1)
-    yield submitted
+    yield lib
     put(before)

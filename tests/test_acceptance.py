@@ -114,12 +114,29 @@ def test_criterion_1_graph_oracle_equivalence():
 # criterion 2: gradient correctness
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_gradient_correctness(monkeypatch, tile_pool):
+def full_loss_grad_error(rng) -> float:
+    """grad_check error of the full composed loss on a toy instance."""
+    n, d, layers, batch = 8, 6, 2, 4
+    sessions = [list(rng.integers(0, n, size=rng.integers(2, 6))) for _ in range(6)]
+    graph = G.build_global_graph(sessions, n, G.GraphConfig(3))
+    anorm = G.row_normalize(graph)
+    hyper = Hyperparams(d=d, num_layers=layers, tau=0.1, beta=1.0,
+                        max_session_len=6, batch_size=batch, seed=0).validate()
+    examples = [TrainExample(tuple(s[:-1]), int(s[-1])) for s in sessions[:batch]]
+    params = M.init_params(n, hyper)
+
+    def full_loss():
+        total, _ = TR.batch_loss(examples, anorm, params, hyper)
+        return total
+
+    return grad_check(full_loss, list(params.tensors.values()))
+
+
+def test_criterion_2_gradient_correctness(monkeypatch):
     t0 = time.monotonic()
     rng = np.random.default_rng(0)
     # row tiles of 3 rows for the 7-row fused primitives (2 for the 8-item toy
-    # model), so every tiled primitive is checked across several tiles, which
-    # run on 2 threads
+    # model), so every tiled primitive is checked across several tiles
     monkeypatch.setattr(T, "TILE_ENTRIES", 21)
 
     # every primitive individually < 1e-6
@@ -176,28 +193,24 @@ def test_criterion_2_gradient_correctness(monkeypatch, tile_pool):
         assert err < 1e-6, f"primitive {name}: {err:.2e}"
         worst_prim = max(worst_prim, err)
 
-    # full composed loss on the toy instance
-    n, d, layers, batch = 8, 6, 2, 4
-    sessions = [list(rng.integers(0, n, size=rng.integers(2, 6))) for _ in range(6)]
-    graph = G.build_global_graph(sessions, n, G.GraphConfig(3))
-    anorm = G.row_normalize(graph)
-    hyper = Hyperparams(d=d, num_layers=layers, tau=0.1, beta=1.0,
-                        max_session_len=6, batch_size=batch, seed=0).validate()
-    examples = [TrainExample(tuple(s[:-1]), int(s[-1])) for s in sessions[:batch]]
-    params = M.init_params(n, hyper)
-
-    def full_loss():
-        total, _ = TR.batch_loss(examples, anorm, params, hyper)
-        return total
-
-    pooled = len(tile_pool)
-    full_err = grad_check(full_loss, list(params.tensors.values()))
-    assert len(tile_pool) > pooled, "the full loss never ran on the tile pool"
+    full_err = full_loss_grad_error(rng)
     elapsed = time.monotonic() - t0
     report("criterion-2 gradients",
            full_err < 1e-4 and elapsed < 30.0,
            f"full loss {full_err:.2e}, worst primitive {worst_prim:.2e}, "
            f"{elapsed:.1f}s")
+
+
+def test_criterion_2_gradient_correctness_on_pool(monkeypatch, tile_pool):
+    # the full loss again, with the attention and SPL row tiles of the 8-item
+    # toy model (2 rows each) on 2 threads
+    t0 = time.monotonic()
+    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
+    full_err = full_loss_grad_error(np.random.default_rng(1))
+    elapsed = time.monotonic() - t0
+    report("criterion-2 gradients on the tile pool",
+           full_err < 1e-4 and len(tile_pool) > 0 and elapsed < 30.0,
+           f"full loss {full_err:.2e}, {len(tile_pool)} tiles on the pool, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from sessrec import loss as L
 from sessrec import model as M
 from sessrec import tensor as T
 from sessrec.tensor import ShapeError, Tape, Tensor, grad_check
+from conftest import ReportedBlas
 
 
 def rand(rng, r, c):
@@ -445,13 +446,17 @@ def test_pool_gives_the_serial_bytes(monkeypatch, tile_pool, n, budget, workers)
     _assert_same_bytes(pooled, serial)
 
 
-def test_pooled_call_keeps_the_blas_thread_count(monkeypatch, tile_pool):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_real_openblas_thread_count_gates_the_pool(monkeypatch, real_openblas,
+                                                   pool_submissions, threads):
+    # the pool runs only while numpy's OpenBLAS is on one thread, and a call
+    # leaves its thread count as it found it
     monkeypatch.setattr(T, "TILE_ENTRIES", 21)
-    get = T._openblas().scipy_openblas_get_num_threads64_
-    before = get()
+    monkeypatch.setattr(T, "WORKERS", 2)
+    real_openblas.scipy_openblas_set_num_threads64_(threads)
     _kernel_outputs(7)
-    assert tile_pool
-    assert get() == before
+    assert bool(pool_submissions) == (threads == 1)
+    assert real_openblas.scipy_openblas_get_num_threads64_() == threads
 
 
 def test_single_tile_stays_inline(tile_pool):
@@ -460,14 +465,9 @@ def test_single_tile_stays_inline(tile_pool):
 
 
 def test_threaded_blas_stays_serial(monkeypatch, tile_pool):
-    # the pool runs only while OpenBLAS is on one thread
     monkeypatch.setattr(T, "TILE_ENTRIES", 21)
-    put = T._openblas().scipy_openblas_set_num_threads64_   # typed by tile_pool
-    put(2)
-    try:
-        _kernel_outputs(7)
-    finally:
-        put(1)
+    monkeypatch.setattr(T, "_openblas", lambda: ReportedBlas(2))
+    _kernel_outputs(7)
     assert not tile_pool
 
 
