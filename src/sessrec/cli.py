@@ -291,7 +291,7 @@ def cmd_gradcheck(args) -> int:
                             batch_size=args.batch, epochs=0).validate()
     rng = np.random.default_rng(args.seed)
     sessions = [list(rng.integers(0, args.n, size=rng.integers(2, 6)))
-                for _ in range(6)]
+                for _ in range(max(6, args.batch))]
     graph = graph_mod.build_global_graph(sessions, args.n,
                                          graph_mod.GraphConfig(hyper.epsilon))
     anorm = graph_mod.row_normalize(graph)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 
 import numpy as np
 
@@ -132,33 +133,33 @@ def propagate(x0: Tensor, anorm, params: ModelParams, num_layers: int,
     return T.scale(acc, 1.0 / (num_layers + 1))
 
 
-def encode_session(items: np.ndarray, x_v: Tensor, params: ModelParams,
-                   use_reverse_pos: bool = True) -> Tensor:
-    """Per-item tanh(W1 [x_t || p_{m-t+1}] + b1) for g sessions of length m.
+def encode_session(items: np.ndarray, lengths: np.ndarray, x_v: Tensor,
+                   params: ModelParams, use_reverse_pos: bool = True) -> Tensor:
+    """Per-item tanh(W1 [x_t || p_{m-t+1}] + b1) for sessions laid end to end.
 
-    items is a g x m index array; returns (g*m) x d, one block of m rows per
-    session, in which the last item gets p_1.
+    items holds every session's items back to back, lengths[s] of them for
+    session s; returns len(items) x d, in which each session's last item gets p_1.
     """
-    g, m = items.shape
     if items.size and (items.min() < 0 or items.max() >= x_v.shape[0]):
         raise ValueError("item index outside vocabulary (closure violated)")
-    x = T.select_rows(x_v, items.reshape(-1))
+    x = T.select_rows(x_v, items)
     if use_reverse_pos:
-        pos = T.select_rows(params["pos_emb"], np.tile(np.arange(m - 1, -1, -1), g))
+        reverse = np.repeat(np.cumsum(lengths), lengths) - 1 - np.arange(items.size)
+        pos = T.select_rows(params["pos_emb"], reverse)
     else:
-        pos = Tensor(np.zeros((g * m, x_v.shape[1])))
+        pos = Tensor(np.zeros((items.size, x_v.shape[1])))
     return T.tanh(T.add_bias(T.matmul(T.concat_cols(x, pos), params["w1"]), params["b1"]))
 
 
-def session_attention(xstar: Tensor, m: int, params: ModelParams) -> Tensor:
-    """Soft attention pooling per block of m rows: theta = sum_t a_t x_t*, a_t
-    unnormalized. (g*m) x d -> g x d."""
-    xs = T.scale(T.sum_blocks(xstar, m), 1.0 / m)   # g x d session means
+def session_attention(xstar: Tensor, lengths: np.ndarray, params: ModelParams) -> Tensor:
+    """Soft attention pooling per session of lengths[s] consecutive rows:
+    theta = sum_t a_t x_t*, a_t unnormalized. sum(lengths) x d -> len(lengths) x d."""
+    xs = T.mul_cols(T.sum_blocks(xstar, lengths), Tensor(1.0 / lengths[:, None]))  # means
     h = T.sigmoid(T.add_bias(T.add(T.matmul(xstar, params["w3"]),
-                                   T.repeat_rows(T.matmul(xs, params["w2"]), m)),
+                                   T.repeat_rows(T.matmul(xs, params["w2"]), lengths)),
                              params["c"]))
-    a = T.matmul(h, params["q"])                    # (g*m) x 1
-    return T.sum_blocks(T.mul_cols(xstar, a), m)
+    a = T.matmul(h, params["q"])                    # sum(lengths) x 1
+    return T.sum_blocks(T.mul_cols(xstar, a), lengths)
 
 
 def score(theta: Tensor, x_vt: Tensor) -> Tensor:
@@ -177,34 +178,19 @@ def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams)
     return predict(scores)
 
 
-def group_by_length(prefixes, max_session_len: int):
-    """Group prefixes by (truncated) length; returns {m: (positions, items g x m)}.
-
-    Sessions longer than the position table keep their most recent items.
-    positions records each row's index in the original prefix list, so callers
-    can scatter per-row results back into input order.
-    """
-    groups: dict[int, list] = {}
-    for i, p in enumerate(prefixes):
-        p = tuple(p)[-max_session_len:]
-        groups.setdefault(len(p), []).append((i, p))
-    out = {}
-    for m in sorted(groups):
-        members = groups[m]
-        pos = [i for i, _ in members]
-        mat = np.array([p for _, p in members], dtype=np.intp)
-        out[m] = (pos, mat)
-    return out
-
-
 def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparams):
     """Batched forward pass over many sessions at once.
 
-    Yields (positions, scores Tensor g x n) per length group; positions map
-    group rows back to indices in `prefixes`. Tape records grow with the
-    number of length groups, not of sessions.
+    Each prefix keeps its last max_session_len items. Yields (positions, scores
+    Tensor g x n) for each run of at most batch_size consecutive prefixes, encoded
+    as one ragged batch; positions is the slice of `prefixes` the rows stand for.
     """
     x_vt = T.transpose(x_v)
-    for m, (positions, items) in group_by_length(prefixes, hyper.max_session_len).items():
-        xstar = encode_session(items, x_v, params, hyper.use_reverse_pos)
-        yield positions, score(session_attention(xstar, m, params), x_vt)
+    prefixes = [tuple(p)[-hyper.max_session_len:] for p in prefixes]
+    for start in range(0, len(prefixes), hyper.batch_size):
+        chunk = prefixes[start:start + hyper.batch_size]
+        lengths = np.array([len(p) for p in chunk], dtype=np.intp)
+        items = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=lengths.sum())
+        xstar = encode_session(items, lengths, x_v, params, hyper.use_reverse_pos)
+        yield (slice(start, start + len(chunk)),
+               score(session_attention(xstar, lengths, params), x_vt))

@@ -216,22 +216,32 @@ def select_rows(x: Tensor, indices) -> Tensor:
     return out
 
 
-def sum_blocks(x: Tensor, m: int) -> Tensor:
-    """Sum each consecutive block of m rows: (g*m) x d -> g x d."""
-    rows, cols = x.shape
-    if m < 1 or rows % m:
-        raise ShapeError(f"sum_blocks: {rows} rows do not split into blocks of {m}")
-    out = Tensor(x.data.reshape(rows // m, m, cols).sum(axis=1))
-    Tape._record(out, (x,), lambda g: (np.repeat(g, m, axis=0),))
+def _block_lengths(lengths, x: Tensor, op: str, per_row: bool) -> np.ndarray:
+    """Positive integer block sizes that split the rows of x, or with per_row,
+    one count per row of x."""
+    n = np.asarray(lengths)
+    if (n.ndim != 1 or n.size == 0 or n.dtype.kind not in "iu" or n.min() < 1
+            or (n.size if per_row else n.sum()) != x.shape[0]):
+        raise ShapeError(f"{op}: lengths {n} do not fit {x.shape[0]} rows")
+    return n
+
+
+def sum_blocks(x: Tensor, lengths) -> Tensor:
+    """Sum each consecutive block of rows, block b holding lengths[b] rows:
+    sum(lengths) x d -> len(lengths) x d."""
+    lengths = _block_lengths(lengths, x, "sum_blocks", per_row=False)
+    out = Tensor(np.add.reduceat(x.data, np.cumsum(lengths) - lengths, axis=0))
+    Tape._record(out, (x,), lambda g: (np.repeat(g, lengths, axis=0),))
     return out
 
 
-def repeat_rows(x: Tensor, m: int) -> Tensor:
-    """Repeat each row m times, rows kept in order: g x d -> (g*m) x d; the adjoint
-    of sum_blocks."""
-    rows, cols = x.shape
-    out = Tensor(np.repeat(x.data, m, axis=0))
-    Tape._record(out, (x,), lambda g: (g.reshape(rows, m, cols).sum(axis=1),))
+def repeat_rows(x: Tensor, lengths) -> Tensor:
+    """Repeat row b lengths[b] times, rows kept in order: len(lengths) x d ->
+    sum(lengths) x d; the adjoint of sum_blocks."""
+    lengths = _block_lengths(lengths, x, "repeat_rows", per_row=True)
+    out = Tensor(np.repeat(x.data, lengths, axis=0))
+    starts = np.cumsum(lengths) - lengths
+    Tape._record(out, (x,), lambda g: (np.add.reduceat(g, starts, axis=0),))
     return out
 
 

@@ -80,6 +80,8 @@ def _evaluate(bundle: DatasetBundle, params: ModelParams, anorm, hyper: Hyperpar
 def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
           ks=(10, 20), log_stream=None) -> TrainResult:
     hyper.validate()
+    if hyper.epochs > 0 and not bundle.test:   # every epoch ends with a test evaluation
+        raise eval_mod.EvalError("empty test set")
     anorm = graph_mod.bundle_adjacency(bundle, hyper.epsilon)
     params = model_mod.init_params(bundle.vocab.n, hyper)
     adam = Adam(params.tensors, lr=hyper.lr, l2=hyper.l2)

@@ -171,9 +171,9 @@ def test_criterion_2_gradient_correctness(monkeypatch):
         "select_rows": lambda x=r(5, 3): (
             lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x]),
         "sum_blocks": lambda x=r(6, 3): (
-            lambda: T.sum_all(T.tanh(T.sum_blocks(x, 3))), [x]),
-        "repeat_rows": lambda x=r(2, 3): (
-            lambda: T.sum_all(T.tanh(T.repeat_rows(x, 3))), [x]),
+            lambda: T.sum_all(T.tanh(T.sum_blocks(x, [1, 2, 3]))), [x]),
+        "repeat_rows": lambda x=r(3, 3): (
+            lambda: T.sum_all(T.tanh(T.repeat_rows(x, [1, 2, 3]))), [x]),
         "sum": lambda x=r(3, 3): (lambda: T.sum_all(x), [x]),
         "transpose": lambda x=r(2, 5): (
             lambda: T.sum_all(T.tanh(T.transpose(x))), [x]),

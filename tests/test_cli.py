@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sessrec import tensor as T
+from sessrec import train as TR
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                          EXIT_OK, build_parser, main)
 from conftest import rewrite_meta
@@ -120,6 +121,22 @@ def test_gradcheck_command(capsys):
                "--batch", "3") == EXIT_OK
     doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert doc["max_relative_error"] < 1e-4
+
+
+def test_gradcheck_batch_above_six(capsys, monkeypatch):
+    # --batch 9 checks the loss of 9 examples, not of the 6 drawn for smaller batches
+    sizes = []
+
+    def batch_loss(examples, *args):
+        sizes.append(len(examples))
+        return real(examples, *args)
+
+    real = TR.batch_loss
+    monkeypatch.setattr(TR, "batch_loss", batch_loss)
+    assert run("gradcheck", "--n", "6", "--d", "3", "--layers", "1",
+               "--batch", "9") == EXIT_OK
+    assert sizes and set(sizes) == {9}
+    assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-4
 
 
 def test_preset_sets_layers_and_beta(tmp_path, synth_bundle):
@@ -302,6 +319,9 @@ def test_empty_test_set_exit_code(tmp_path, capsys):
     assert run("train", "--data", str(bundle), "--out", str(tmp_path / "r"),
                "--epochs", "1", *small) == EXIT_DATA
     assert capsys.readouterr().err == "data error: empty test set\n"
+    # refused before the first batch: the log holds no batch record
+    log = (tmp_path / "r" / "train.log").read_text().splitlines()
+    assert not [line for line in log if json.loads(line)["kind"] == "batch"]
     assert run("train", "--data", str(bundle), "--out", str(tmp_path / "r0"),
                "--epochs", "0", *small) == EXIT_OK
     assert run("eval", "--checkpoint", str(tmp_path / "r0" / "last.ckpt"),

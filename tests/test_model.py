@@ -9,7 +9,7 @@ from sessrec import model as M
 from sessrec import graph as G
 from sessrec.evaluate import ranks
 from sessrec.model import Hyperparams
-from sessrec.tensor import Tape, Tensor
+from sessrec.tensor import ShapeError, Tape, Tensor
 
 
 def np_softmax_rows(x):
@@ -40,7 +40,8 @@ def oracle_forward(items, x_v, params, use_reverse_pos=True):
 
 def encode_one(items, x_v, params):
     """encode_session on a batch holding the single session `items`."""
-    return M.encode_session(np.array([items], dtype=np.intp), x_v, params)
+    return M.encode_session(np.array(items, dtype=np.intp), np.array([len(items)]),
+                            x_v, params)
 
 
 def oracle_propagate(x0, anorm_dense, params, layers, use_attention=True):
@@ -171,33 +172,38 @@ class TestEncodeSession:
             encode_one([99], Tensor(params["item_emb"].data), params)
 
     def test_long_session_keeps_most_recent(self):
-        items = [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]
-        ((m, (positions, mat)),) = M.group_by_length([items], 4).items()
-        assert m == 4 and positions == [0]
-        np.testing.assert_array_equal(mat, [items[-4:]])
+        items = [5, 4, 3, 2, 1, 0, 0, 1, 2, 3]   # first and last four differ
+        _, _, hyper, params = make_setup(n=6, d=4)
+        hyper = dataclasses.replace(hyper, max_session_len=4)
+        x_v = Tensor(params["item_emb"].data)
+        ((positions, scores),) = M.forward_groups([items], x_v, params, hyper)
+        assert positions == slice(0, 1)
+        np.testing.assert_allclose(scores.data, oracle_scores(items[-4:], x_v.data, params),
+                                   rtol=0, atol=1e-12)
 
 
 class TestSessionAttention:
     def test_zero_query_gives_zero(self, rng):
         _, _, hyper, params = make_setup(d=4)
         params.tensors["q"] = Tensor(np.zeros((4, 1)))
-        theta = M.session_attention(Tensor(rng.standard_normal((3, 4))), 3, params)
+        theta = M.session_attention(Tensor(rng.standard_normal((3, 4))), np.array([3]),
+                                    params)
         assert theta.shape == (1, 4)
         np.testing.assert_allclose(theta.data, 0.0)
 
     def test_single_row_formula(self, rng):
         _, _, hyper, params = make_setup(d=4)
         x1 = rng.standard_normal((1, 4))
-        theta = M.session_attention(Tensor(x1), 1, params)
+        theta = M.session_attention(Tensor(x1), np.array([1]), params)
         pre = x1 @ (params["w2"].data + params["w3"].data) + params["c"].data
         a1 = (1.0 / (1.0 + np.exp(-pre))) @ params["q"].data
         np.testing.assert_allclose(theta.data, a1 * x1, atol=1e-12)
 
     def test_random_instance_matches_oracle(self, rng):
         _, _, hyper, params = make_setup(d=4)
-        xstar = rng.standard_normal((6, 4))     # two sessions of three rows
-        theta = M.session_attention(Tensor(xstar), 3, params)
-        for row, block in enumerate((xstar[:3], xstar[3:])):
+        xstar = rng.standard_normal((6, 4))     # sessions of one, two and three rows
+        theta = M.session_attention(Tensor(xstar), np.array([1, 2, 3]), params)
+        for row, block in enumerate((xstar[:1], xstar[1:3], xstar[3:])):
             xs = block.mean(axis=0, keepdims=True)
             pre = (block @ params["w3"].data + xs @ params["w2"].data
                    + params["c"].data)
@@ -336,12 +342,33 @@ def test_batched_forward_matches_per_session():
 
 
 def test_forward_groups_transposes_item_table_once():
-    # every length group scores against the same d x n transposed table
-    _, _, hyper, params = make_setup(n=6, d=4)
+    # every chunk scores against the same d x n transposed table
+    _, _, hyper, params = make_setup(n=6, d=4, batch_size=2)
     x_v = Tensor(np.random.default_rng(2).standard_normal((6, 4)))
     with Tape() as tape:
         groups = list(M.forward_groups([(0,), (1, 2), (3, 4, 5), (2,)], x_v, params, hyper))
-    assert len(groups) == 3
+    assert len(groups) == 2
     transposes = [out for out, inputs, _ in tape.records
                   if inputs == (x_v,) and out.shape == (4, 6)]
     assert len(transposes) == 1
+
+
+def test_forward_groups_chunks_follow_batch_size():
+    # 11 prefixes of mixed lengths, some cut to max_session_len, in chunks of 4
+    _, anorm, hyper, params = make_setup(n=8, d=5, layers=1, seed=4, batch_size=4)
+    hyper = dataclasses.replace(hyper, max_session_len=3)
+    x_v = M.propagate(params["item_emb"], anorm, params, 1)
+    rng = np.random.default_rng(12)
+    prefixes = [list(rng.integers(0, 8, size=rng.integers(1, 6))) for _ in range(11)]
+    chunks = list(M.forward_groups(prefixes, x_v, params, hyper))
+    assert [positions for positions, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 11)]
+    for positions, scores in chunks:
+        want = np.vstack([oracle_scores(p[-3:], x_v.data, params.tensors)
+                          for p in prefixes[positions]])
+        np.testing.assert_allclose(scores.data, want, rtol=0, atol=1e-12)
+
+
+def test_empty_prefix_is_a_shape_error():
+    _, _, hyper, params = make_setup(n=6, d=4)
+    with pytest.raises(ShapeError):
+        list(M.forward_groups([(1, 2), ()], Tensor(params["item_emb"].data), params, hyper))

@@ -105,15 +105,49 @@ def test_repeated_operand_accumulates():
 
 def test_sum_blocks_and_repeat_rows_are_adjoint():
     x = Tensor(np.arange(12.0).reshape(6, 2))
-    np.testing.assert_array_equal(T.sum_blocks(x, 3).data, [[6.0, 9.0], [24.0, 27.0]])
+    np.testing.assert_array_equal(T.sum_blocks(x, [3, 3]).data, [[6.0, 9.0], [24.0, 27.0]])
     y = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(T.repeat_rows(y, 2).data,
+    np.testing.assert_array_equal(T.repeat_rows(y, [2, 2]).data,
                                   [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]])
     # <sum_blocks(x), y> == <x, repeat_rows(y)>
-    assert np.sum(T.sum_blocks(x, 3).data * y.data) == \
-        np.sum(x.data * T.repeat_rows(y, 3).data)
-    with pytest.raises(ShapeError, match="blocks of 4"):
-        T.sum_blocks(x, 4)
+    assert np.sum(T.sum_blocks(x, [3, 3]).data * y.data) == \
+        np.sum(x.data * T.repeat_rows(y, [3, 3]).data)
+    with pytest.raises(ShapeError, match="do not fit 6 rows"):
+        T.sum_blocks(x, [4, 4])
+
+
+def test_ragged_sum_blocks_and_repeat_rows_are_adjoint():
+    x = Tensor(np.arange(12.0).reshape(6, 2))
+    lengths = np.array([1, 2, 3])
+    np.testing.assert_array_equal(T.sum_blocks(x, lengths).data,
+                                  [[0.0, 1.0], [6.0, 8.0], [24.0, 27.0]])
+    y = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    np.testing.assert_array_equal(T.repeat_rows(y, lengths).data,
+                                  [[1.0, 2.0], [3.0, 4.0], [3.0, 4.0],
+                                   [5.0, 6.0], [5.0, 6.0], [5.0, 6.0]])
+    assert np.sum(T.sum_blocks(x, lengths).data * y.data) == \
+        np.sum(x.data * T.repeat_rows(y, lengths).data)
+    # each one's backward is the other
+    with Tape() as tape:
+        s, r = T.sum_blocks(x, lengths), T.repeat_rows(y, lengths)
+    ((_, _, sum_vjp), (_, _, repeat_vjp)) = tape.records
+    np.testing.assert_array_equal(sum_vjp(y.data)[0], r.data)
+    np.testing.assert_array_equal(repeat_vjp(x.data)[0], s.data)
+
+
+@pytest.mark.parametrize("lengths", [[1, 0, 5], [0, 6], [2, 2], [3, 4], [6.0], [],
+                                     [[3, 3]]])
+def test_block_lengths_that_do_not_split_the_rows(lengths):
+    # zero-length blocks, totals that do not match, floats, no blocks, a matrix
+    x = Tensor(np.ones((6, 2)))
+    with pytest.raises(ShapeError, match="do not fit 6 rows"):
+        T.sum_blocks(x, lengths)
+
+
+@pytest.mark.parametrize("lengths", [[1, 0], [2], [1, 1, 1], [-1, 3]])
+def test_repeat_counts_that_do_not_match_the_rows(lengths):
+    with pytest.raises(ShapeError, match="do not fit 2 rows"):
+        T.repeat_rows(Tensor(np.ones((2, 3))), lengths)
 
 
 def test_forward_determinism():
@@ -181,11 +215,11 @@ class TestPrimitiveGradients:
 
     def test_sum_blocks(self):
         x = rand(self.rng, 6, 3)
-        _check(lambda: T.sum_all(T.tanh(T.sum_blocks(x, 3))), [x])
+        _check(lambda: T.sum_all(T.tanh(T.sum_blocks(x, [1, 2, 3]))), [x])
 
     def test_repeat_rows(self):
-        x = rand(self.rng, 2, 3)
-        _check(lambda: T.sum_all(T.tanh(T.repeat_rows(x, 3))), [x])
+        x = rand(self.rng, 3, 3)
+        _check(lambda: T.sum_all(T.tanh(T.repeat_rows(x, [1, 2, 3]))), [x])
 
     def test_transpose(self):
         x = rand(self.rng, 2, 5)

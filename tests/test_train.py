@@ -9,10 +9,11 @@ from sessrec import graph as G
 from sessrec import model as M
 from sessrec import synth as S
 from sessrec import train as TR
-from sessrec.data import vocab_hash
+from sessrec.data import TrainExample, vocab_hash
 from sessrec.evaluate import popularity_baseline
 from sessrec.model import Hyperparams
 from sessrec.optim import Adam
+from sessrec.tensor import Tape
 from conftest import indexed_bundle, memorization_bundle, rewrite_meta
 
 
@@ -77,6 +78,37 @@ class TestTrainLoop:
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 assert not np.array_equal(tables[names[i]], tables[names[j]])
+
+
+class TestTapeSize:
+    def _records(self, prefixes, hyper, n=10):
+        bundle = indexed_bundle([[i % n, (i + 1) % n, (i + 3) % n] for i in range(n)], n)
+        anorm = G.bundle_adjacency(bundle, hyper.epsilon)
+        params = M.init_params(n, hyper)
+        examples = [TrainExample(tuple(p), (p[-1] + 1) % n) for p in prefixes]
+        with Tape() as tape:
+            TR.batch_loss(examples, anorm, params, hyper)
+        return len(tape.records)
+
+    def test_count_does_not_depend_on_prefix_lengths(self):
+        hyper = tiny_hyper()
+        same = [(1, 2), (3, 4), (5, 6), (7, 8)]
+        mixed = [(1,), (3, 4), (5, 6, 7, 8), (9, 0, 1)]
+        assert self._records(same, hyper) == self._records(mixed, hyper)
+
+    def test_one_step_at_2k_items(self):
+        # the first 100 training examples of the 2k-item synth bundle span
+        # many prefix lengths; the step is one encoder chain of 19 records
+        bundle, _ = S.synth_dataset(S.SynthSpec(n_items=2000, n_sessions=12000,
+                                                n_chains=200, seed=1))
+        batch = bundle.train[:100]
+        assert len({len(ex.prefix) for ex in batch}) > 1
+        hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
+        anorm = G.bundle_adjacency(bundle, hyper.epsilon)
+        params = M.init_params(bundle.vocab.n, hyper)
+        with Tape() as tape:
+            TR.batch_loss(batch, anorm, params, hyper)
+        assert len(tape.records) == 40
 
 
 class TestCheckpoint:
