@@ -81,20 +81,21 @@ class TestTrainLoop:
 
 
 class TestTapeSize:
-    def _records(self, prefixes, hyper, n=10):
-        bundle = indexed_bundle([[i % n, (i + 1) % n, (i + 3) % n] for i in range(n)], n)
+    @staticmethod
+    def _records(bundle, examples, hyper):
         anorm = G.bundle_adjacency(bundle, hyper.epsilon)
-        params = M.init_params(n, hyper)
-        examples = [TrainExample(tuple(p), (p[-1] + 1) % n) for p in prefixes]
+        params = M.init_params(bundle.vocab.n, hyper)
         with Tape() as tape:
             TR.batch_loss(examples, anorm, params, hyper)
         return len(tape.records)
 
     def test_count_does_not_depend_on_prefix_lengths(self):
-        hyper = tiny_hyper()
+        bundle = indexed_bundle([[i, (i + 1) % 10, (i + 3) % 10] for i in range(10)], 10)
         same = [(1, 2), (3, 4), (5, 6), (7, 8)]
         mixed = [(1,), (3, 4), (5, 6, 7, 8), (9, 0, 1)]
-        assert self._records(same, hyper) == self._records(mixed, hyper)
+        counts = [self._records(bundle, [TrainExample(p, 0) for p in prefixes], tiny_hyper())
+                  for prefixes in (same, mixed)]
+        assert counts[0] == counts[1]
 
     def test_one_step_at_2k_items(self):
         # the first 100 training examples of the 2k-item synth bundle span
@@ -104,11 +105,7 @@ class TestTapeSize:
         batch = bundle.train[:100]
         assert len({len(ex.prefix) for ex in batch}) > 1
         hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
-        anorm = G.bundle_adjacency(bundle, hyper.epsilon)
-        params = M.init_params(bundle.vocab.n, hyper)
-        with Tape() as tape:
-            TR.batch_loss(batch, anorm, params, hyper)
-        assert len(tape.records) == 40
+        assert self._records(bundle, batch, hyper) == 40
 
 
 class TestCheckpoint:
