@@ -47,7 +47,7 @@ def single_positive_loss(x: Tensor, tau: float) -> Tensor:
         raise ValueError("tau must be > 0")
     k = x.shape[0]
     lse = T.gram_logsumexp(T.normalize_rows(x), 1.0 / tau)
-    return T.affine(lse, 1.0, -k / tau)
+    return T.add(lse, Tensor([[-k / tau]]))
 
 
 def total_loss(l_ce: Tensor, l_spl: Tensor | None, beta: float):

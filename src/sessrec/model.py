@@ -39,14 +39,22 @@ class Hyperparams:
     ce_form: str = "as_printed"       # or "softmax_ce"
 
     def validate(self):
+        # bool is a subclass of int, so a JSON true would pass as a number
         for name in ("d", "num_layers", "epsilon", "batch_size", "epochs",
                      "max_session_len", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         for name in ("tau", "beta", "lr", "l2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number")
             # false for NaN, infinities and integers too large for a float
-            if not abs(getattr(self, name)) <= sys.float_info.max:
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} must be finite")
+        for name in ("use_spl", "use_attention", "use_reverse_pos"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
         for name, low in (("d", 1), ("epsilon", 1), ("batch_size", 1), ("max_session_len", 1),
                           ("num_layers", 0), ("epochs", 0), ("seed", 0), ("beta", 0), ("l2", 0)):
             if getattr(self, name) < low:
@@ -124,13 +132,12 @@ def gcn_layer(anorm, x: Tensor, w: Tensor) -> Tensor:
 def propagate(x0: Tensor, anorm, params: ModelParams, num_layers: int,
               use_attention: bool = True) -> Tensor:
     """Alternate attention and convolution, then average the L+1 snapshots."""
-    acc = x0
-    x = x0
+    snapshots = [x0]
     for l in range(num_layers):
+        x = snapshots[-1]
         h = attention_layer(x, params[f"att_w{l}"], params[f"att_b{l}"]) if use_attention else x
-        x = gcn_layer(anorm, h, params[f"conv_w{l}"])
-        acc = T.add(acc, x)
-    return T.scale(acc, 1.0 / (num_layers + 1))
+        snapshots.append(gcn_layer(anorm, h, params[f"conv_w{l}"]))
+    return T.scale(T.add(*snapshots), 1.0 / (num_layers + 1))
 
 
 def encode_session(items: np.ndarray, lengths: np.ndarray, x_v: Tensor,
@@ -148,18 +155,17 @@ def encode_session(items: np.ndarray, lengths: np.ndarray, x_v: Tensor,
         pos = T.select_rows(params["pos_emb"], reverse)
     else:
         pos = Tensor(np.zeros((items.size, x_v.shape[1])))
-    return T.tanh(T.add_bias(T.matmul(T.concat_cols(x, pos), params["w1"]), params["b1"]))
+    return T.tanh(T.add(T.matmul(T.concat_cols(x, pos), params["w1"]), params["b1"]))
 
 
 def session_attention(xstar: Tensor, lengths: np.ndarray, params: ModelParams) -> Tensor:
     """Soft attention pooling per session of lengths[s] consecutive rows:
     theta = sum_t a_t x_t*, a_t unnormalized. sum(lengths) x d -> len(lengths) x d."""
-    xs = T.mul_cols(T.sum_blocks(xstar, lengths), Tensor(1.0 / lengths[:, None]))  # means
-    h = T.sigmoid(T.add_bias(T.add(T.matmul(xstar, params["w3"]),
-                                   T.repeat_rows(T.matmul(xs, params["w2"]), lengths)),
-                             params["c"]))
+    xs = T.mul(T.sum_blocks(xstar, lengths), Tensor(1.0 / lengths[:, None]))  # means
+    h = T.sigmoid(T.add(T.matmul(xstar, params["w3"]),
+                        T.repeat_rows(T.matmul(xs, params["w2"]), lengths), params["c"]))
     a = T.matmul(h, params["q"])                    # sum(lengths) x 1
-    return T.sum_blocks(T.mul_cols(xstar, a), lengths)
+    return T.sum_blocks(T.mul(xstar, a), lengths)
 
 
 def score(theta: Tensor, x_vt: Tensor) -> Tensor:

@@ -98,9 +98,19 @@ class Tape:
             t.grad = g if t.grad is None else t.grad + g
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+def _check_broadcast(x: Tensor, t: Tensor, op: str) -> None:
+    """t must have x's shape, or be a row, a column or a 1 x 1 value broadcast over x."""
+    if t.shape[0] not in (1, x.shape[0]) or t.shape[1] not in (1, x.shape[1]):
+        raise ShapeError(f"{op}: {t.shape} does not broadcast over {x.shape}")
+
+
+def _sum_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum g down to shape: over the rows, then the columns, that were broadcast."""
+    if shape[0] != g.shape[0]:
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] != g.shape[1]:
+        g = g.sum(axis=1, keepdims=True)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +137,17 @@ def sparse_matmul(s, b: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    Tape._record(out, (a, b), lambda g: (g, g))
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x + b with b a 1 x cols row vector broadcast over rows."""
-    if b.shape != (1, x.shape[1]):
-        raise ShapeError(f"add_bias: bias {b.shape} does not broadcast over {x.shape}")
-    out = Tensor(x.data + b.data)
-    Tape._record(out, (x, b), lambda g: (g, g.sum(axis=0, keepdims=True)))
+def add(x: Tensor, *terms: Tensor) -> Tensor:
+    """x plus each term, left to right; every term is broadcast over x."""
+    if not terms:
+        return x
+    for t in terms:
+        _check_broadcast(x, t, "add")
+    data = x.data + terms[0].data
+    for t in terms[1:]:
+        data += t.data
+    out = Tensor(data)
+    Tape._record(out, (x, *terms), lambda g: (g, *(_sum_to(g, t.shape) for t in terms)))
     return out
 
 
@@ -149,28 +157,12 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
-def affine(x: Tensor, a: float, b: float) -> Tensor:
-    """Elementwise a*x + b with scalar constants."""
-    out = Tensor(a * x.data + b)
-    Tape._record(out, (x,), lambda g: (g * a,))
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data)
-    ad, bd = a.data, b.data
-    Tape._record(out, (a, b), lambda g: (g * bd, g * ad))
-    return out
-
-
-def mul_cols(x: Tensor, col: Tensor) -> Tensor:
-    """Scale every row of x by the matching entry of an m x 1 column."""
-    if col.shape != (x.shape[0], 1):
-        raise ShapeError(f"mul_cols: column {col.shape} does not match {x.shape}")
-    out = Tensor(x.data * col.data)
-    xd, cd = x.data, col.data
-    Tape._record(out, (x, col), lambda g: (g * cd, (g * xd).sum(axis=1, keepdims=True)))
+def mul(x: Tensor, y: Tensor) -> Tensor:
+    """Elementwise x * y, y broadcast over x."""
+    _check_broadcast(x, y, "mul")
+    out = Tensor(x.data * y.data)
+    xd, yd = x.data, y.data
+    Tape._record(out, (x, y), lambda g: (g * yd, _sum_to(g * xd, yd.shape)))
     return out
 
 

@@ -50,12 +50,10 @@ def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
                               hyper.num_layers, hyper.use_attention)
     prefixes = [ex.prefix for ex in examples]
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
-    ce_sum = None
-    for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper):
-        probs = model_mod.predict(scores)
-        part = loss_mod.cross_entropy_rows(probs, targets[positions], hyper.ce_form)
-        ce_sum = part if ce_sum is None else T.add(ce_sum, part)
-    l_ce = T.scale(ce_sum, 1.0 / len(examples))
+    parts = [loss_mod.cross_entropy_rows(model_mod.predict(scores), targets[positions],
+                                         hyper.ce_form)
+             for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper)]
+    l_ce = T.scale(T.add(*parts), 1.0 / len(examples))
     l_spl = None
     if hyper.use_spl and hyper.beta > 0:
         if hyper.spl_scope == "batch_items":
@@ -70,11 +68,10 @@ def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
 
 
 def _evaluate(bundle: DatasetBundle, params: ModelParams, anorm, hyper: Hyperparams,
-              ks=(10, 20), examples=None):
+              ks=(10, 20)):
     x_v = model_mod.propagate(params["item_emb"], anorm, params,
                               hyper.num_layers, hyper.use_attention)
-    return eval_mod.evaluate_model(examples if examples is not None else bundle.test,
-                                   x_v, params, hyper, ks=ks)
+    return eval_mod.evaluate_model(bundle.test, x_v, params, hyper, ks=ks)
 
 
 def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,

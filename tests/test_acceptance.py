@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Training-based criteria share module-scoped fixtures to stay within
 their runtime budgets.
 """
+import inspect
 import json
 import time
 from fractions import Fraction
@@ -151,15 +152,21 @@ def test_criterion_2_gradient_correctness(monkeypatch):
             lambda: T.sum_all(T.tanh(T.sparse_matmul(sparse, x))), [x]),
         "add": lambda a=r(3, 3), b=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.add(a, b))), [a, b]),
-        "add_bias": lambda x=r(3, 4), b=r(1, 4): (
-            lambda: T.sum_all(T.tanh(T.add_bias(x, b))), [x, b]),
+        "add/row": lambda x=r(3, 4), b=r(1, 4): (
+            lambda: T.sum_all(T.tanh(T.add(x, b))), [x, b]),
+        "add/column": lambda x=r(3, 4), c=r(3, 1): (
+            lambda: T.sum_all(T.tanh(T.add(x, c))), [x, c]),
+        "add/value": lambda x=r(3, 3), v=r(1, 1): (
+            lambda: T.sum_all(T.tanh(T.add(x, v))), [x, v]),
+        "add/three_terms": lambda a=r(3, 4), b=r(3, 4), c=r(1, 4): (
+            lambda: T.sum_all(T.tanh(T.add(a, b, c))), [a, b, c]),
         "scale": lambda x=r(3, 3): (lambda: T.sum_all(T.tanh(T.scale(x, 1.3))), [x]),
-        "affine": lambda x=r(3, 3): (
-            lambda: T.sum_all(T.tanh(T.affine(x, -0.7, 0.2))), [x]),
         "mul": lambda a=r(3, 3), b=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.mul(a, b))), [a, b]),
-        "mul_cols": lambda x=r(4, 3), c=r(4, 1): (
-            lambda: T.sum_all(T.tanh(T.mul_cols(x, c))), [x, c]),
+        "mul/column": lambda x=r(4, 3), c=r(4, 1): (
+            lambda: T.sum_all(T.tanh(T.mul(x, c))), [x, c]),
+        "mul/row": lambda x=r(4, 3), b=r(1, 3): (
+            lambda: T.sum_all(T.tanh(T.mul(x, b))), [x, b]),
         "tanh": lambda x=r(3, 3): (lambda: T.sum_all(T.tanh(x)), [x]),
         "sigmoid": lambda x=r(3, 3): (lambda: T.sum_all(T.sigmoid(x)), [x]),
         "clamped_cross_entropy/as_printed": lambda p=Tensor(rng.uniform(0.05, 0.95, (3, 4))): (
@@ -174,7 +181,7 @@ def test_criterion_2_gradient_correctness(monkeypatch):
             lambda: T.sum_all(T.tanh(T.sum_blocks(x, [1, 2, 3]))), [x]),
         "repeat_rows": lambda x=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.repeat_rows(x, [1, 2, 3]))), [x]),
-        "sum": lambda x=r(3, 3): (lambda: T.sum_all(x), [x]),
+        "sum_all": lambda x=r(3, 3): (lambda: T.sum_all(x), [x]),
         "transpose": lambda x=r(2, 5): (
             lambda: T.sum_all(T.tanh(T.transpose(x))), [x]),
         "row_softmax": lambda x=r(4, 5), w=r(4, 5): (
@@ -186,6 +193,12 @@ def test_criterion_2_gradient_correctness(monkeypatch):
         "gram_logsumexp": lambda x=r(7, 3): (
             lambda: T.gram_logsumexp(x, 0.7), [x]),
     }
+    # every function that records on the tape has a finite-difference check
+    recording = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                 if fn.__module__ == T.__name__ and "Tape._record(" in inspect.getsource(fn)}
+    checked = {key.partition("/")[0] for key in prim_checks}
+    assert recording == checked, (f"unchecked primitives {sorted(recording - checked)}, "
+                                  f"unknown entries {sorted(checked - recording)}")
     worst_prim = 0.0
     for name, make in prim_checks.items():
         f, params = make()

@@ -99,6 +99,17 @@ def test_non_integer_config_value_rejected(tmp_path, synth_bundle, key):
                str(tmp_path / "x"), "--config", str(cfg)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("values", [{"use_spl": "no"}, {"epochs": True}, {"tau": True}])
+def test_config_value_of_the_wrong_type_rejected(tmp_path, synth_bundle, values):
+    # JSON true is a Python int and "no" is truthy: neither may pass as a number or a switch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d": 4, "num_layers": 1, "epochs": 1, **values}))
+    out_dir = tmp_path / "x"
+    assert run("train", "--data", str(synth_bundle), "--out", str(out_dir),
+               "--config", str(cfg)) == EXIT_CONFIG
+    assert not (out_dir / "config.json").exists()
+
+
 def test_missing_data_file(tmp_path):
     assert run("train", "--data", str(tmp_path / "nope.json"), "--out",
                str(tmp_path / "x"), "--epochs", "1") == EXIT_DATA

@@ -235,6 +235,16 @@ def test_hyperparams_reject_non_finite(name, value):
         Hyperparams(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("epochs", True, "must be an integer"), ("seed", False, "must be an integer"),
+    ("tau", True, "must be a number"), ("l2", "0.1", "must be a number"),
+    ("use_spl", "no", "must be true or false"), ("use_attention", 1, "must be true or false"),
+    ("use_reverse_pos", None, "must be true or false")])
+def test_hyperparams_reject_values_of_the_wrong_type(name, value, message):
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        Hyperparams(**{name: value}).validate()
+
+
 class TestInitParams:
     def test_same_seed_identical(self):
         h = Hyperparams(d=10, num_layers=1).validate()

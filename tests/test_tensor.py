@@ -103,6 +103,54 @@ def test_repeated_operand_accumulates():
     np.testing.assert_allclose(w.grad, [[4.0]])
 
 
+def test_add_sums_terms_left_to_right_with_broadcast():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    out = T.add(x, Tensor([[10.0, 20.0]]), Tensor([[100.0], [200.0]]), Tensor([[0.5]]))
+    np.testing.assert_array_equal(out.data, [[111.5, 122.5], [213.5, 224.5]])
+    # same-shape terms in the order given, as a chain of binary adds would
+    a, b, c = (Tensor(v) for v in ([[0.1]], [[0.2]], [[0.3]]))
+    assert T.add(a, b, c).item() == T.add(T.add(a, b), c).item() == (0.1 + 0.2) + 0.3
+
+
+def test_add_records_once_and_nothing_without_terms():
+    x, row, col = Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))), Tensor(np.ones((3, 1)))
+    with Tape() as tape:
+        assert T.add(x) is x
+        T.add(x, x, row, col)
+    assert [inputs for _, inputs, _ in tape.records] == [(x, x, row, col)]
+
+
+def test_broadcast_gradients_sum_down_to_each_term():
+    rng = np.random.default_rng(6)
+    x, y = rand(rng, 4, 3), rand(rng, 4, 3)
+    row, col, c = rand(rng, 1, 3), rand(rng, 4, 1), rand(rng, 1, 1)
+    g = rng.standard_normal((4, 3))
+    with Tape() as tape:
+        tape.backward(T.sum_all(T.mul(T.add(x, row, col, c), Tensor(g))))
+    np.testing.assert_array_equal(x.grad, g)
+    np.testing.assert_array_equal(row.grad, g.sum(axis=0, keepdims=True))
+    np.testing.assert_array_equal(col.grad, g.sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(c.grad, [[g.sum()]], rtol=1e-14)
+    col.grad = None
+    with Tape() as tape:
+        tape.backward(T.sum_all(T.mul(T.mul(y, col), Tensor(g))))
+    np.testing.assert_array_equal(y.grad, g * col.data)
+    np.testing.assert_array_equal(col.grad, (g * y.data).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+@pytest.mark.parametrize("x_shape, term_shape", [
+    ((3, 4), (3, 3)), ((3, 4), (2, 4)), ((3, 4), (4, 1)), ((3, 4), (1, 3)),
+    ((1, 4), (3, 4)), ((3, 1), (3, 4))])   # the last two: a term larger than x
+def test_add_and_mul_reject_terms_that_do_not_broadcast(op, x_shape, term_shape):
+    x, term = Tensor(np.ones(x_shape)), Tensor(np.ones(term_shape))
+    with pytest.raises(ShapeError, match=rf"{op.__name__}: \({term_shape[0]}, {term_shape[1]}\)"):
+        op(x, term)
+    if op is T.add:   # checked in any position
+        with pytest.raises(ShapeError):
+            T.add(x, x, term)
+
+
 def test_sum_blocks_and_repeat_rows_are_adjoint():
     x = Tensor(np.arange(12.0).reshape(6, 2))
     np.testing.assert_array_equal(T.sum_blocks(x, [3, 3]).data, [[6.0, 9.0], [24.0, 27.0]])
@@ -183,23 +231,24 @@ class TestPrimitiveGradients:
         x = rand(self.rng, 4, 3)
         _check(lambda: T.sum_all(T.tanh(T.sparse_matmul(s, x))), [x])
 
-    def test_add_and_add_bias(self):
+    def test_add_with_every_broadcast(self):
         a, b = rand(self.rng, 3, 4), rand(self.rng, 3, 4)
-        bias = rand(self.rng, 1, 4)
-        _check(lambda: T.sum_all(T.sigmoid(T.add_bias(T.add(a, b), bias))),
-               [a, b, bias])
+        bias, col, c = rand(self.rng, 1, 4), rand(self.rng, 3, 1), rand(self.rng, 1, 1)
+        _check(lambda: T.sum_all(T.sigmoid(T.add(a, b, bias, col, c))),
+               [a, b, bias, col, c])
 
-    def test_scale_affine(self):
+    def test_scale_then_add_value(self):
         x = rand(self.rng, 2, 3)
-        _check(lambda: T.sum_all(T.tanh(T.affine(T.scale(x, 1.7), -0.5, 0.3))), [x])
+        _check(lambda: T.sum_all(T.tanh(T.add(T.scale(x, 1.7), Tensor([[0.3]])))), [x])
 
     def test_mul(self):
         a, b = rand(self.rng, 3, 3), rand(self.rng, 3, 3)
         _check(lambda: T.sum_all(T.tanh(T.mul(a, b))), [a, b])
 
-    def test_mul_cols(self):
-        x, col = rand(self.rng, 4, 3), rand(self.rng, 4, 1)
-        _check(lambda: T.sum_all(T.tanh(T.mul_cols(x, col))), [x, col])
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 3), (1, 1)])
+    def test_mul_broadcast(self, shape):
+        x, y = rand(self.rng, 4, 3), rand(self.rng, *shape)
+        _check(lambda: T.sum_all(T.tanh(T.mul(x, y))), [x, y])
 
     def test_tanh_sigmoid(self):
         x = rand(self.rng, 3, 3)

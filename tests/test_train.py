@@ -99,13 +99,13 @@ class TestTapeSize:
 
     def test_one_step_at_2k_items(self):
         # the first 100 training examples of the 2k-item synth bundle span
-        # many prefix lengths; the step is one encoder chain of 19 records
+        # many prefix lengths; the step is one encoder chain of 18 records
         bundle, _ = S.synth_dataset(S.SynthSpec(n_items=2000, n_sessions=12000,
                                                 n_chains=200, seed=1))
         batch = bundle.train[:100]
         assert len({len(ex.prefix) for ex in batch}) > 1
         hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
-        assert self._records(bundle, batch, hyper) == 40
+        assert self._records(bundle, batch, hyper) == 37
 
 
 class TestCheckpoint:
