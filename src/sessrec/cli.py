@@ -49,6 +49,15 @@ def config_errors():
         raise ConfigError(str(e)) from e
 
 
+@contextlib.contextmanager
+def output_errors(path):
+    """Report a failed write of an output under path as a DataError (exit 3)."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot write {e.filename or path}: {e.strerror or e}") from e
+
+
 _HYPER_FIELDS = {f.name for f in dataclasses.fields(Hyperparams)}
 
 
@@ -199,7 +208,8 @@ def cmd_synth(args) -> int:
                                    n_chains=args.chains, chain_len=args.chain_len,
                                    noise=args.noise, seed=args.seed).validate()
     bundle, _chains = synth_mod.synth_dataset(spec)
-    data_mod.save_bundle(bundle, args.out)
+    with output_errors(args.out):
+        data_mod.save_bundle(bundle, args.out)
     print(json.dumps(bundle.stats, sort_keys=True))
     return EXIT_OK
 
@@ -223,7 +233,8 @@ def cmd_preprocess(args) -> int:
     for lineno, msg in errors:
         print(f"warning: line {lineno}: {msg}", file=sys.stderr)
     bundle = data_mod.make_bundle(events, cfg)
-    data_mod.save_bundle(bundle, args.out)
+    with output_errors(args.out):
+        data_mod.save_bundle(bundle, args.out)
     print(json.dumps(bundle.stats, sort_keys=True))
     return EXIT_OK
 
@@ -238,10 +249,12 @@ def cmd_build_graph(args) -> int:
     graph = graph_mod.build_global_graph(sessions, bundle.vocab.n, cfg)
     bundle.graph = graph
     bundle.graph_epsilon = args.epsilon
-    data_mod.save_bundle(bundle, args.out)
+    with output_errors(args.out):
+        data_mod.save_bundle(bundle, args.out)
     if args.export:
-        Path(args.export).write_text(graph_mod.export_edge_list(graph),
-                                     encoding="utf-8")
+        with output_errors(args.export):
+            Path(args.export).write_text(graph_mod.export_edge_list(graph),
+                                         encoding="utf-8")
     print(json.dumps(graph_mod.graph_stats(graph) | {"epsilon": args.epsilon},
                      sort_keys=True, default=str))
     return EXIT_OK
@@ -252,10 +265,11 @@ def cmd_train(args) -> int:
     ks = _parse_ks(args.ks)
     bundle = data_mod.load_bundle(args.data)
     out_dir = Path(args.out)
-    write_resolved_config(out_dir, hyper, {"data": str(args.data), "ks": ks})
-    with open(out_dir / "train.log", "w", encoding="utf-8") as log_stream:
-        result = train_mod.train(bundle, hyper, out_dir=out_dir, ks=ks,
-                                 log_stream=log_stream)
+    with output_errors(out_dir):
+        write_resolved_config(out_dir, hyper, {"data": str(args.data), "ks": ks})
+        with open(out_dir / "train.log", "w", encoding="utf-8") as log_stream:
+            result = train_mod.train(bundle, hyper, out_dir=out_dir, ks=ks,
+                                     log_stream=log_stream)
     if result.best_metrics is not None:
         print(json.dumps(result.best_metrics | {"best_epoch": result.best_epoch},
                          sort_keys=True))
@@ -273,7 +287,7 @@ def cmd_eval(args) -> int:
     x_v = model_mod.propagate(params["item_emb"], anorm, params,
                               hyper.num_layers, hyper.use_attention)
     report = eval_mod.evaluate_model(bundle.test, x_v, params, hyper, ks=ks)
-    with open(args.out, "w", encoding="utf-8") as f:
+    with output_errors(args.out), open(args.out, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, separators=(",", ":"))
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK
@@ -319,7 +333,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, EvalError, FileNotFoundError) as e:
+    except (DataError, EvalError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except CheckpointError as e:

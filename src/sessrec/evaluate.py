@@ -34,9 +34,12 @@ def ranks(scores, targets) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.intp)
     st = s[np.arange(s.shape[0]), targets][:, None]
-    higher = (s > st).sum(axis=1)
-    tied_before = ((s == st) & (np.arange(s.shape[1]) < targets[:, None])).sum(axis=1)
-    return 1 + higher + tied_before
+    out = 1 + (s > st).sum(axis=1)
+    # only rows whose target ties with another score need the index order
+    tied = np.flatnonzero((s == st).sum(axis=1) > 1)
+    before = np.arange(s.shape[1]) < targets[tied, None]
+    out[tied] += ((s[tied] == st[tied]) & before).sum(axis=1)
+    return out
 
 
 def precision_at_k(ranks, k: int) -> float:

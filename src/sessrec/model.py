@@ -190,13 +190,23 @@ def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparam
     Each prefix keeps its last max_session_len items. Yields (positions, scores
     Tensor g x n) for each run of at most batch_size consecutive prefixes, encoded
     as one ragged batch; positions is the slice of `prefixes` the rows stand for.
+    With no tape recording, the runs go through tensor._tile_map, which may
+    compute several at once on the kernels' threads (evaluation does); they are
+    yielded in order and hold the same bytes whichever thread computed them.
     """
     x_vt = T.transpose(x_v)
     prefixes = [tuple(p)[-hyper.max_session_len:] for p in prefixes]
-    for start in range(0, len(prefixes), hyper.batch_size):
-        chunk = prefixes[start:start + hyper.batch_size]
+
+    def encode_and_score(positions):
+        chunk = prefixes[positions]
         lengths = np.array([len(p) for p in chunk], dtype=np.intp)
         items = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=lengths.sum())
         xstar = encode_session(items, lengths, x_v, params, hyper.use_reverse_pos)
-        yield (slice(start, start + len(chunk)),
-               score(session_attention(xstar, lengths, params), x_vt))
+        return positions, score(session_attention(xstar, lengths, params), x_vt)
+
+    chunks = [slice(start, min(start + hyper.batch_size, len(prefixes)))
+              for start in range(0, len(prefixes), hyper.batch_size)]
+    # under a tape the chunks stay inline: records from several threads would
+    # land in timing order, and backward would sum their gradients in that order
+    yield from (map(encode_and_score, chunks) if T.Tape._stack
+                else T._tile_map(encode_and_score, chunks))

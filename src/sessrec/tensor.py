@@ -310,7 +310,9 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 #
 # The tiles are independent, so when numpy's OpenBLAS runs on one thread,
 # _tile_map runs them on up to WORKERS threads (FlashAttention-2, Dao 2023);
-# numpy releases the GIL inside BLAS calls and large ufuncs. The calling
+# numpy releases the GIL inside BLAS calls and large ufuncs. It takes any
+# list of row slices: model.forward_groups hands it its chunks of prefixes
+# the same way when no tape records, as in evaluation. The calling
 # thread is one of them: each extra thread keeps its own malloc arena, which
 # holds on to the tiles it freed and adds to peak memory. Tile boundaries
 # depend on n alone, forward tiles write disjoint rows, and the calling thread
@@ -329,11 +331,10 @@ WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 4)
 
 
-def _row_tiles(n: int):
-    """Yield consecutive slices of max(1, TILE_ENTRIES // n) rows covering range(n)."""
+def _row_tiles(n: int) -> list:
+    """Consecutive slices of max(1, TILE_ENTRIES // n) rows covering range(n)."""
     step = max(1, TILE_ENTRIES // max(n, 1))
-    for i in range(0, n, step):
-        yield slice(i, min(i + step, n))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 @functools.cache
@@ -352,8 +353,8 @@ def _openblas():
     return None
 
 
-def _tile_map(fn, n: int):
-    """Yield fn(t) for each row tile t of range(n), in tile order.
+def _tile_map(fn, tiles: list):
+    """Yield fn(t) for each row slice t in tiles, in their order.
 
     When there are several tiles and OpenBLAS runs on one thread, the tiles
     go in chunks of WORKERS: the calling thread runs the first of each chunk
@@ -361,7 +362,6 @@ def _tile_map(fn, n: int):
     Otherwise they run inline, and OpenBLAS's own threads, if any, split each
     tile's products.
     """
-    tiles = list(_row_tiles(n))
     blas = _openblas()
     if (WORKERS < 2 or len(tiles) < 2 or blas is None
             or blas.scipy_openblas_get_num_threads64_() != 1):
@@ -411,7 +411,7 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         lse[t], total = _exp_rows_(e)
         out[t] = (e @ xd) / total
 
-    for _ in _tile_map(forward_tile, n):
+    for _ in _tile_map(forward_tile, _row_tiles(n)):
         pass
     result = Tensor(out)
 
@@ -430,7 +430,7 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             dy[t] = ds @ xd
             return g[t].T @ p, y[t].T @ ds
 
-        for gp, yds in _tile_map(backward_tile, n):
+        for gp, yds in _tile_map(backward_tile, _row_tiles(n)):
             dxt += gp
             dxt += yds
         dx = dy @ wd.T
@@ -452,7 +452,7 @@ def gram_logsumexp(x: Tensor, c: float) -> Tensor:
         s *= c
         lse[t], _ = _exp_rows_(s)
 
-    for _ in _tile_map(forward_tile, n):
+    for _ in _tile_map(forward_tile, _row_tiles(n)):
         pass
     out = Tensor(np.array([[lse.sum()]]))
 
@@ -468,7 +468,7 @@ def gram_logsumexp(x: Tensor, c: float) -> Tensor:
             dx[t] = p @ xd
             return xd[t].T @ p
 
-        for xp in _tile_map(backward_tile, n):
+        for xp in _tile_map(backward_tile, _row_tiles(n)):
             dxt += xp
         dx += dxt.T
         return (dx * (g[0, 0] * c),)

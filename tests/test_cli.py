@@ -340,6 +340,54 @@ def test_empty_test_set_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: empty test set\n"
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory, synth_bundle):
+    out = tmp_path_factory.mktemp("run")
+    assert run("train", "--data", str(synth_bundle), "--out", str(out), "--d", "4",
+               "--layers", "1", "--epochs", "1", "--batch", "4") == EXIT_OK
+    return out / "last.ckpt"
+
+
+# {dir} is an existing directory and {file} an existing file
+@pytest.mark.parametrize("argv,path", [
+    ("eval --checkpoint {ckpt} --data {data} --out {dir}", "{dir}"),
+    ("eval --checkpoint {ckpt} --data {data} --out {file}/e.json", "{file}/e.json"),
+    ("synth --out {dir}", "{dir}"),
+    ("build-graph --in {data} --out {dir}", "{dir}"),
+    ("build-graph --in {data} --out {tmp}/g.json --export {dir}", "{dir}"),
+    ("train --data {data} --out {file} --d 4 --layers 1 --epochs 1", "{file}"),
+], ids=["eval_out_dir", "eval_out_under_file", "synth_out_dir", "build_graph_out_dir",
+        "build_graph_export_dir", "train_out_file"])
+def test_unwritable_output_exit_code(tmp_path, synth_bundle, checkpoint, capsys, argv, path):
+    names = {"ckpt": checkpoint, "data": synth_bundle, "dir": tmp_path / "dir",
+             "file": tmp_path / "file", "tmp": tmp_path}
+    names["dir"].mkdir()
+    names["file"].write_text("")
+    assert run(*[arg.format(**names) for arg in argv.split()]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {path.format(**names)}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_eval_on_the_tile_pool_matches_one_worker(tmp_path, synth_bundle, checkpoint,
+                                                  monkeypatch, tile_pool, capsys):
+    # the checkpoint's batch of 4 cuts the test set into several chunks
+    non_daemon = {t for t in threading.enumerate() if not t.daemon}
+    outputs = {}
+    for workers in (2, 1):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        out = tmp_path / f"e{workers}.json"
+        assert run("eval", "--checkpoint", str(checkpoint), "--data", str(synth_bundle),
+                   "--out", str(out)) == EXIT_OK
+        outputs[workers] = (out.read_bytes(), capsys.readouterr().out)
+        assert {t for t in threading.enumerate() if not t.daemon} <= non_daemon
+        if workers == 2:
+            assert tile_pool
+            submitted = len(tile_pool)
+    assert len(tile_pool) == submitted
+    assert outputs[2] == outputs[1]
+
+
 def test_train_on_the_tile_pool_matches_one_worker(tmp_path, synth_bundle, monkeypatch,
                                                    tile_pool):
     # 30 items in tiles of 10 rows: attention and SPL run 3 tiles on 2 threads

@@ -1,10 +1,18 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessrec.evaluate import (EvalError, mrr_at_k, popularity_baseline, precision_at_k,
-                              ranks, report_from_ranks)
+from sessrec import model as M
+from sessrec import tensor as T
+from sessrec.data import TrainExample
+from sessrec.evaluate import (EvalError, evaluate_model, mrr_at_k, popularity_baseline,
+                              precision_at_k, ranks, ranks_for_examples, report_from_ranks)
+from sessrec.model import Hyperparams
+from sessrec.tensor import Tape, Tensor
 from conftest import indexed_bundle
 
 
@@ -44,6 +52,15 @@ def test_vectorised_ranks_match_per_row_rule_with_ties(g, n, seed):
     assert got.tolist() == [per_row_rank(scores[i].tolist(), int(targets[i]))
                             for i in range(g)]
     assert [ranks(scores[i:i + 1], targets[i:i + 1])[0] for i in range(g)] == got.tolist()
+
+
+def test_ranks_of_rows_holding_nan_scores():
+    # a NaN compares false with everything: it is neither above nor tied with
+    # the target, and a NaN target ranks first
+    nan = np.nan
+    scores = [[nan, 1, 2, 0], [1, nan, 2, 0], [2, nan, 2, nan], [nan] * 4,
+              [0, nan, 0, 0], [nan, 3, nan, 3], [1, 2, 3, 4]]
+    assert ranks(scores, [0, 0, 2, 1, 3, 3, 0]).tolist() == [1, 2, 2, 1, 3, 2, 4]
 
 
 class TestMetrics:
@@ -107,3 +124,97 @@ class TestPopularityBaseline:
         bundle.sessions_train = []
         with pytest.raises(EvalError):
             popularity_baseline(bundle)
+
+
+# ---------------------------------------------------------------------------
+# evaluation chunks on the tile pool
+# ---------------------------------------------------------------------------
+
+def pool_setup(n_examples, n=12, d=5, batch=4):
+    """Random examples, some with prefixes longer than max_session_len, an
+    item table and a model whose forward_groups cuts chunks of `batch`."""
+    rng = np.random.default_rng(21)
+    hyper = Hyperparams(d=d, num_layers=1, batch_size=batch, max_session_len=4,
+                        seed=2).validate()
+    params = M.init_params(n, hyper)
+    x_v = Tensor(rng.standard_normal((n, d)))
+    examples = [TrainExample(tuple(int(i) for i in rng.integers(0, n, size=rng.integers(1, 7))),
+                             int(rng.integers(0, n))) for _ in range(n_examples)]
+    return examples, x_v, params, hyper
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+def test_pooled_chunks_give_the_inline_ranks_and_report(monkeypatch, tile_pool, chunks):
+    examples, x_v, params, hyper = pool_setup(4 * chunks - 1)   # a short last chunk
+    prefixes = [ex.prefix for ex in examples]
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        scores = [(p, s.data.tobytes()) for p, s in M.forward_groups(prefixes, x_v, params, hyper)]
+        report = evaluate_model(examples, x_v, params, hyper, ks=(1, 3))
+        got[workers] = (scores, ranks_for_examples(examples, x_v, params, hyper).tobytes(),
+                        json.dumps(report.to_dict(), sort_keys=True))
+        assert bool(tile_pool) == (workers == 2 and chunks > 1)
+    assert got[2] == got[1]
+    assert [p for p, _ in got[2][0]] == [slice(i, min(i + 4, len(examples)))
+                                         for i in range(0, len(examples), 4)]
+    # three passes with 2 workers, each with every other chunk on the pool thread
+    assert tile_pool == 3 * [slice(i, min(i + 4, len(examples)))
+                             for i in range(4, len(examples), 8)]
+
+
+def record_census(tape, leaves):
+    """Each record's primitive, its inputs (named by leaf or earlier record)
+    and its output bytes: equal for two tapes that recorded the same calls."""
+    names = {id(t): f"leaf{i}" for i, t in enumerate(leaves)}
+    census = []
+    for i, (out, inputs, vjp) in enumerate(tape.records):
+        census.append((vjp.__qualname__, [names.get(id(t), "constant") for t in inputs],
+                       out.data.tobytes()))
+        names[id(out)] = f"record{i}"
+    return census
+
+
+def test_chunks_stay_inline_under_a_tape(monkeypatch, tile_pool):
+    examples, x_v, params, hyper = pool_setup(11)
+    leaves = [x_v, *params.tensors.values()]
+    census = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        with Tape() as tape:
+            chunks = list(M.forward_groups([ex.prefix for ex in examples], x_v, params, hyper))
+        assert len(chunks) == 3
+        census[workers] = record_census(tape, leaves)
+    assert not tile_pool
+    assert census[2] == census[1]
+
+
+def test_out_of_vocabulary_prefix_in_a_pooled_chunk_reaches_the_caller(tile_pool):
+    examples, x_v, params, hyper = pool_setup(11)
+    examples[5] = TrainExample((0, 12), 1)   # chunk 4:8 runs on the pool thread
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        ranks_for_examples(examples, x_v, params, hyper)
+    assert tile_pool == [slice(4, 8)]
+
+
+def test_pooled_chunks_stress_more_workers_than_cores(monkeypatch, tile_pool):
+    # 13 one-prefix chunks on 6 threads with a tiny switch interval: a lost or
+    # reordered chunk would change the ranks or the scores' bytes
+    examples, x_v, params, hyper = pool_setup(13, batch=1)
+    prefixes = [ex.prefix for ex in examples]
+
+    def outputs():
+        return ([(p, s.data.tobytes()) for p, s in M.forward_groups(prefixes, x_v, params, hyper)],
+                ranks_for_examples(examples, x_v, params, hyper).tolist())
+
+    monkeypatch.setattr(T, "WORKERS", 1)
+    serial = outputs()
+    monkeypatch.setattr(T, "WORKERS", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert outputs() == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(tile_pool) == 5 * 2 * (13 - 3)   # 3 chunks of 6 start on the calling thread

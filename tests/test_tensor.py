@@ -587,7 +587,7 @@ def test_tile_map_keeps_order_and_one_tile_per_worker(monkeypatch, tile_pool):
             active[0] -= 1
         return t.start
 
-    assert list(T._tile_map(fn, 10)) == list(range(10))
+    assert list(T._tile_map(fn, T._row_tiles(10))) == list(range(10))
     assert len(tile_pool) == _pooled_tiles(10, 3) and 1 <= most[0] <= 3
 
 
@@ -605,11 +605,11 @@ def test_tile_exception_reaches_the_caller(monkeypatch, tile_pool, bad):
         return t.start
 
     with pytest.raises(RuntimeError, match=f"tile {bad} failed"):
-        list(T._tile_map(fn, 10))
+        list(T._tile_map(fn, T._row_tiles(10)))
     assert (slice(5, 6) in tile_pool) and (slice(4, 5) not in tile_pool)
     # the failure reaches the caller only after the rest of its chunk is done
     assert sorted(finished) == [i for i in range(6) if i != bad]
-    assert list(T._tile_map(lambda t: t.start, 10)) == list(range(10))
+    assert list(T._tile_map(lambda t: t.start, T._row_tiles(10))) == list(range(10))
 
 
 def test_pool_stress_more_workers_than_cores(monkeypatch, tile_pool):
