@@ -318,6 +318,9 @@ def cmd_gradcheck(args) -> int:
         return total
 
     err = grad_check(f, list(params.tensors.values()))
+    if not math.isfinite(err):
+        raise NumericError("gradient check failed: the loss, a gradient or a "
+                           "finite difference is not finite")
     print(json.dumps({"max_relative_error": err, "tolerance": args.tolerance}))
     return EXIT_OK if err < args.tolerance else EXIT_NUMERIC
 

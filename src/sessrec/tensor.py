@@ -3,15 +3,18 @@
 Every value is a (rows, cols) float64 matrix. Operations run forward-only
 unless a ``Tape`` context is active, in which case each primitive records
 a vector-Jacobian callback; ``Tape.backward`` replays the records in
-reverse and accumulates gradients into ``Tensor.grad``.
+reverse, dropping each one once its callback has run, and accumulates
+gradients into ``Tensor.grad``.
 """
 from __future__ import annotations
 
 import ctypes
 import functools
 import glob
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -53,13 +56,20 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive ops; backward walks it in exact reverse."""
+    """Ordered record of primitive ops; backward walks it in exact reverse.
+
+    ``backward`` consumes the tape: it takes the records off and drops each
+    one (output, inputs, VJP closure) as soon as its VJP has run, so an array
+    is freed once no earlier record still needs it. A second ``backward`` on
+    a consumed tape raises; a tape that recorded nothing can run it again.
+    """
 
     _stack: list["Tape"] = []
 
     def __init__(self):
         # each record: (output, inputs tuple, vjp(g_out) -> per-input grads)
         self.records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -77,9 +87,17 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.shape != (1, 1):
             raise ShapeError(f"backward requires a scalar (1x1) loss, got {loss.shape}")
+        if self._consumed:
+            raise RuntimeError("Tape.backward: this tape was already consumed by an "
+                               "earlier backward; record the computation on a new Tape")
+        records, self.records = self.records, []
+        self._consumed = bool(records)
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
         holders: dict[int, Tensor] = {id(loss): loss}
-        for out, inputs, vjp in reversed(self.records):
+        while records:
+            # rebinding these names drops the previous record, the last reference
+            # to whatever only it kept alive
+            out, inputs, vjp = records.pop()
             g_out = adjoint.pop(id(out), None)
             holders.pop(id(out), None)
             if g_out is None:
@@ -96,6 +114,30 @@ class Tape:
         for key, g in adjoint.items():
             t = holders[key]
             t.grad = g if t.grad is None else t.grad + g
+
+
+class TapeCensus(NamedTuple):
+    records: int
+    output_bytes: int    # the records' output arrays
+    closure_bytes: int   # arrays only the VJP closures hold, each counted once
+
+
+def tape_census(tape: Tape) -> TapeCensus:
+    """What the tape's records keep alive: their count, the bytes of their
+    outputs, and the bytes of the ndarrays their VJP closures hold that are
+    neither a record output nor the data of a record input."""
+    outputs = {id(out.data) for out, _, _ in tape.records}
+    inputs = {id(t.data) for _, ins, _ in tape.records for t in ins}
+    held: dict[int, int] = {}
+    for _, _, vjp in tape.records:
+        for cell in vjp.__closure__ or ():
+            value = cell.cell_contents
+            if (isinstance(value, np.ndarray) and id(value) not in outputs
+                    and id(value) not in inputs):
+                held[id(value)] = value.nbytes
+    return TapeCensus(len(tape.records),
+                      sum(out.data.nbytes for out, _, _ in tape.records),
+                      sum(held.values()))
 
 
 def _check_broadcast(x: Tensor, t: Tensor, op: str) -> None:
@@ -397,12 +439,19 @@ def _probs(s: np.ndarray, lse: np.ndarray) -> np.ndarray:
 # 1.6x faster than P^T A at the tile shapes here.
 
 def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """softmax((XW + b) X^T) X over all row pairs: n x d -> n x d."""
+    """softmax((XW + b) X^T) X over all row pairs: n x d -> n x d.
+
+    The tape record keeps X, W, b, the output and the n x 1 row
+    log-normaliser. Backward rebuilds Y = XW + b with the forward's own
+    expression, so it gets the same bytes for n d^2 more work, small next to
+    the tiles' n^2 d, instead of holding an n x d copy of Y per layer
+    (Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost").
+    """
     n, d = x.shape
     if w.shape != (d, d) or b.shape != (1, d):
         raise ShapeError(f"attention: weight {w.shape} and bias {b.shape} do not fit {x.shape}")
-    xd, wd = x.data, w.data
-    y = xd @ wd + b.data
+    xd, wd, bd = x.data, w.data, b.data
+    y = xd @ wd + bd
     out = np.empty_like(xd)
     lse = np.empty((n, 1))
 
@@ -418,6 +467,7 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         # with P the tile's probabilities and dS = P * (dO X^T - rowsum(dO * O)):
         # dX = P^T dO + dS^T Y + dY W^T, dY = dS X
+        y = xd @ wd + bd
         dxt = np.zeros((d, n))
         dy = np.empty_like(y)
         rowdot = (g * out).sum(axis=1, keepdims=True)
@@ -486,13 +536,18 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
 
     f is a zero-argument callable returning a scalar Tensor built from the
     given parameter Tensors. Returns the max relative error over all
-    parameter entries, using |a-g| / max(1, |a|, |g|).
+    parameter entries, using |a-g| / max(1, |a|, |g|), or inf as soon as the
+    loss, an analytic gradient or an error is not finite: a NaN must fail
+    the check, not score 0.
     """
     for p in params:
         p.grad = None
     with Tape() as tape:
         loss = f()
         tape.backward(loss)
+    if not np.isfinite(loss.data).all() or any(
+            p.grad is not None and not np.isfinite(p.grad).all() for p in params):
+        return math.inf
     worst = 0.0
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros(p.shape)
@@ -507,5 +562,7 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
             numeric = (hi - lo) / (2.0 * eps)
             a = analytic.reshape(-1)[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            if not math.isfinite(err):
+                return math.inf
             worst = max(worst, err)
     return worst

@@ -150,6 +150,19 @@ def test_gradcheck_batch_above_six(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-4
 
 
+def test_gradcheck_non_finite_loss_exit_code(capsys):
+    # tau 1e-320 overflows the SPL logits to NaN, which must not score 0
+    assert run("gradcheck", "--n", "6", "--d", "4", "--layers", "1",
+               "--batch", "3", "--tau", "1e-320") == EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    for line in out.splitlines():
+        json.loads(line)
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("numeric error:")] == [
+        "numeric error: gradient check failed: the loss, a gradient or a finite "
+        "difference is not finite"]
+
+
 def test_preset_sets_layers_and_beta(tmp_path, synth_bundle):
     out_dir = tmp_path / "preset"
     assert run("train", "--data", str(synth_bundle), "--out", str(out_dir),

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -101,6 +102,62 @@ def test_repeated_operand_accumulates():
     with Tape() as tape:
         tape.backward(T.sum_all(T.mul(w, w)))
     np.testing.assert_allclose(w.grad, [[4.0]])
+
+
+def test_backward_frees_records_while_the_tape_lives():
+    rng = np.random.default_rng(11)
+    x, w, b = rand(rng, 5, 3), rand(rng, 3, 3), rand(rng, 1, 3)
+    with Tape() as tape:
+        loss = T.sum_all(T.tanh(T.attention(x, w, b)))
+        tanh_out = weakref.ref(tape.records[1][0].data)   # attention, tanh, sum_all
+        tape.backward(loss)
+        assert tape.records == []
+        assert tanh_out() is None
+    assert x.grad is not None and w.grad is not None and b.grad is not None
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    x = Tensor(np.ones((2, 2)))
+    with Tape() as tape:
+        loss = T.sum_all(x)
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
+
+
+def test_empty_tape_backward_runs_again():
+    loss = Tensor([[3.0]])
+    with Tape() as tape:
+        tape.backward(loss)
+        tape.backward(loss)
+    np.testing.assert_array_equal(loss.grad, [[2.0]])
+
+
+def test_tape_census_counts_closure_arrays_once():
+    a, out1, out2 = Tensor(np.ones((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros((1, 1)))
+    held, shared = np.ones((7, 1)), np.ones((2, 2))
+    ad, od = a.data, out1.data
+
+    def vjp1(g):   # holds its input's data, its output and two arrays of its own
+        return (g @ ad.T * od.sum() + held.sum() + shared.sum(),)
+
+    def vjp2(g):   # shares one of them
+        return (g * shared.sum(),)
+
+    tape = Tape()
+    tape.records += [(out1, (a,), vjp1), (out2, (out1,), vjp2)]
+    assert T.tape_census(tape) == (2, 4 * 5 * 8 + 8, 7 * 8 + 2 * 2 * 8)
+    assert T.tape_census(Tape()) == (0, 0, 0)
+
+
+def test_attention_record_holds_only_its_log_normaliser():
+    rng = np.random.default_rng(12)
+    n, d = 9, 4
+    x, w, b = rand(rng, n, d), rand(rng, d, d), rand(rng, 1, d)
+    with Tape() as tape:
+        T.attention(x, w, b)
+    assert T.tape_census(tape) == (1, n * d * 8, n * 8)
 
 
 def test_add_sums_terms_left_to_right_with_broadcast():
@@ -315,6 +372,31 @@ def test_corrupted_adjoint_is_caught():
 
     err = grad_check(lambda: T.sum_all(bad_tanh(x)), [x])
     assert err > 1e-2
+
+
+def _nan_loss(x):
+    return lambda: T.sum_all(T.scale(x, math.nan))
+
+
+def _nan_gradient(x):
+    def f():
+        out = Tensor(x.data.sum(keepdims=True))
+        Tape._record(out, (x,), lambda g: (np.full(x.shape, math.nan),))
+        return out
+    return f
+
+
+def _nan_after_first_call(x):
+    # finite loss and gradient, NaN finite differences
+    factors = iter([1.0])
+    return lambda: T.sum_all(T.scale(x, next(factors, math.nan)))
+
+
+@pytest.mark.parametrize("make_f", [_nan_loss, _nan_gradient, _nan_after_first_call],
+                         ids=["loss", "gradient", "error"])
+def test_grad_check_fails_on_non_finite_values(make_f):
+    x = Tensor(np.ones((2, 2)))
+    assert grad_check(make_f(x), [x]) == math.inf
 
 
 def test_linear_function_near_machine_eps():

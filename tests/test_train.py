@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sessrec import graph as G
 from sessrec import model as M
 from sessrec import synth as S
+from sessrec import tensor as T
 from sessrec import train as TR
 from sessrec.data import TrainExample, vocab_hash
 from sessrec.evaluate import popularity_baseline
@@ -80,6 +82,14 @@ class TestTrainLoop:
                 assert not np.array_equal(tables[names[i]], tables[names[j]])
 
 
+@pytest.fixture(scope="module")
+def large_bundle():
+    """The 2k-item synth bundle of the train-large benchmark workload, seed 1."""
+    bundle, _ = S.synth_dataset(S.SynthSpec(n_items=2000, n_sessions=12000,
+                                            n_chains=200, seed=1))
+    return bundle
+
+
 class TestTapeSize:
     @staticmethod
     def _records(bundle, examples, hyper):
@@ -97,15 +107,33 @@ class TestTapeSize:
                   for prefixes in (same, mixed)]
         assert counts[0] == counts[1]
 
-    def test_one_step_at_2k_items(self):
+    def test_one_step_at_2k_items(self, large_bundle):
         # the first 100 training examples of the 2k-item synth bundle span
         # many prefix lengths; the step is one encoder chain of 18 records
-        bundle, _ = S.synth_dataset(S.SynthSpec(n_items=2000, n_sessions=12000,
-                                                n_chains=200, seed=1))
-        batch = bundle.train[:100]
+        batch = large_bundle.train[:100]
         assert len({len(ex.prefix) for ex in batch}) > 1
         hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
-        assert self._records(bundle, batch, hyper) == 37
+        assert self._records(large_bundle, batch, hyper) == 37
+
+    def test_one_step_peak_memory_at_2k_items(self, monkeypatch, large_bundle):
+        # One step at the train-large shape traced 59.5 MiB while the tape kept
+        # every record until backward ended and attention kept Y = XW + b, and
+        # 40.9 MiB once backward frees each record after its VJP and attention
+        # rebuilds Y. Keeping the records alone traced 56.5 MiB; attention's Y
+        # alone (about 3 MiB) is pinned by the tape census test in test_tensor.
+        monkeypatch.setattr(T, "WORKERS", 1)
+        hyper = Hyperparams().validate()       # d=100, L=3, batch 100
+        anorm = G.bundle_adjacency(large_bundle, hyper.epsilon)
+        params = M.init_params(large_bundle.vocab.n, hyper)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                total, _ = TR.batch_loss(large_bundle.train[:100], anorm, params, hyper)
+                tape.backward(total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
 
 class TestCheckpoint:
