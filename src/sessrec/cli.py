@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +268,11 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     with output_errors(out_dir):
         write_resolved_config(out_dir, hyper, {"data": str(args.data), "ks": ks})
-        with open(out_dir / "train.log", "w", encoding="utf-8") as log_stream:
+        with open(out_dir / "train.log", "w", encoding="utf-8") as log_stream, \
+                warnings.catch_warnings():
+            # the loss and gradient checks report a numeric failure, so numpy's
+            # warnings go; unlike np.errstate, a filter also holds in pool threads
+            warnings.simplefilter("ignore", RuntimeWarning)
             result = train_mod.train(bundle, hyper, out_dir=out_dir, ks=ks,
                                      log_stream=log_stream)
     if result.best_metrics is not None:
@@ -281,7 +286,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ks = _parse_ks(args.ks)
     bundle = data_mod.load_bundle(args.data)
-    params, _state, hyper, _vh = train_mod.load_checkpoint(
+    params, _steps, hyper, _vh = train_mod.load_checkpoint(
         args.checkpoint, expected_vocab_hash=vocab_hash(bundle.vocab))
     anorm = graph_mod.bundle_adjacency(bundle, hyper.epsilon)
     x_v = model_mod.propagate(params["item_emb"], anorm, params,
@@ -317,7 +322,9 @@ def cmd_gradcheck(args) -> int:
         total, _ = train_mod.batch_loss(examples, anorm, params, hyper)
         return total
 
-    err = grad_check(f, list(params.tensors.values()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # err is then not finite
+        err = grad_check(f, list(params.tensors.values()))
     if not math.isfinite(err):
         raise NumericError("gradient check failed: the loss, a gradient or a "
                            "finite difference is not finite")

@@ -90,9 +90,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def names(self):
-        return list(self.tensors)
-
     def items(self):
         return self.tensors.items()
 

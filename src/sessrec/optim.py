@@ -41,12 +41,3 @@ class Adam:
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": dict(self.m), "v": dict(self.v)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for name in self.params:
-            self.m[name] = np.array(state["m"][name], dtype=np.float64)
-            self.v[name] = np.array(state["v"][name], dtype=np.float64)

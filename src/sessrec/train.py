@@ -104,9 +104,7 @@ def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
             with Tape() as tape:
                 total, breakdown = batch_loss(batch, anorm, params, hyper)
                 if not np.isfinite(breakdown.total):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch} batch {bi}; "
-                        "last-good checkpoint retained")
+                    raise NumericError(f"non-finite loss at epoch {epoch} batch {bi}")
                 tape.backward(total)
             adam.step()
             adam.zero_grads()
@@ -144,24 +142,16 @@ def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
 
 def save_checkpoint(path, params: ModelParams, adam: Adam | None,
                     hyper: Hyperparams, vhash: str) -> None:
+    """Write the parameters and metadata, with adam's step count but not its moments."""
     arrays = []
     blobs = []
     offset = 0
-
-    def push(name, arr):
-        nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-        arrays.append({"name": name, "rows": int(arr.shape[0]),
-                       "cols": int(arr.shape[1]), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-
     for name in sorted(params.tensors):
-        push(f"param/{name}", params[name].data)
-    if adam is not None:
-        for name in sorted(adam.m):
-            push(f"adam_m/{name}", adam.m[name])
-            push(f"adam_v/{name}", adam.v[name])
+        data = params[name].data
+        arrays.append({"name": f"param/{name}", "rows": int(data.shape[0]),
+                       "cols": int(data.shape[1]), "offset": offset})
+        blobs.append(np.ascontiguousarray(data, dtype=np.float64).tobytes())
+        offset += len(blobs[-1])
     meta = {"format_version": CHECKPOINT_VERSION, "vocab_hash": vhash,
             "hyper": hyper.to_dict(), "adam_t": adam.t if adam is not None else None,
             "num_layers": params.num_layers, "arrays": arrays}
@@ -175,7 +165,8 @@ def save_checkpoint(path, params: ModelParams, adam: Adam | None,
 
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None):
-    """Returns (params, adam_state dict or None, hyper, vocab_hash)."""
+    """Returns (params, adam step count or None, hyper, vocab_hash). Every block is
+    bounds-checked; blocks other than param/ (older files' Adam moments) are skipped."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -206,23 +197,19 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     if expected_vocab_hash is not None and vhash != expected_vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and bundle")
     tensors = {}
-    adam_m, adam_v = {}, {}
     for (kind, _, name), rows, cols, offset in specs:
         size = rows * cols * 8
         start = base + offset
         if min(rows, cols, offset) < 0 or start + size > len(raw):
             raise CheckpointError(f"truncated checkpoint {path}")
+        if kind != "param":
+            continue
         try:
             arr = np.frombuffer(raw[start:start + size], dtype=np.float64).reshape(
                 rows, cols).copy()
         except ValueError as e:   # a dimension numpy cannot hold, with no bytes behind it
-            raise CheckpointError(f"malformed array {kind}/{name} in {path}: {e}") from e
-        if kind == "param":
-            tensors[name] = Tensor(arr)
-        elif kind == "adam_m":
-            adam_m[name] = arr
-        elif kind == "adam_v":
-            adam_v[name] = arr
+            raise CheckpointError(f"malformed array param/{name} in {path}: {e}") from e
+        tensors[name] = Tensor(arr)
     if num_layers != hyper.num_layers:
         raise CheckpointError(f"checkpoint num_layers {num_layers!r} disagrees with its "
                               f"hyperparameters ({hyper.num_layers})")
@@ -237,8 +224,4 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     if len(tensors) != n_expected:
         raise CheckpointError(f"checkpoint holds {len(tensors) - n_expected} unknown "
                               "parameter(s)")
-    params = ModelParams(tensors, num_layers=hyper.num_layers)
-    adam_state = None
-    if adam_t is not None:
-        adam_state = {"t": adam_t, "m": adam_m, "v": adam_v}
-    return params, adam_state, hyper, vhash
+    return ModelParams(tensors, num_layers=hyper.num_layers), adam_t, hyper, vhash

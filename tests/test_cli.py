@@ -150,17 +150,40 @@ def test_gradcheck_batch_above_six(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["max_relative_error"] < 1e-4
 
 
-def test_gradcheck_non_finite_loss_exit_code(capsys):
-    # tau 1e-320 overflows the SPL logits to NaN, which must not score 0
+def runtime_warnings(recwarn):
+    return [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_gradcheck_non_finite_loss_exit_code(capsys, recwarn):
+    # tau 1e-320 overflows the SPL logits to NaN, which must not score 0; the
+    # numeric error is the one line on stderr, with no numpy warning before it
     assert run("gradcheck", "--n", "6", "--d", "4", "--layers", "1",
                "--batch", "3", "--tau", "1e-320") == EXIT_NUMERIC
     out, err = capsys.readouterr()
     for line in out.splitlines():
         json.loads(line)
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines() if line.startswith("numeric error:")] == [
-        "numeric error: gradient check failed: the loss, a gradient or a finite "
-        "difference is not finite"]
+    assert err == ("numeric error: gradient check failed: the loss, a gradient or a "
+                   "finite difference is not finite\n")
+    assert runtime_warnings(recwarn) == []
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+def test_train_non_finite_loss_exit_code(tmp_path, synth_bundle, monkeypatch, request,
+                                         capsys, recwarn, pooled):
+    # a run stopped in epoch 0 leaves its config and log, and no checkpoint
+    if pooled:
+        tiles = request.getfixturevalue("tile_pool")
+        monkeypatch.setattr(T, "TILE_ENTRIES", 300)   # 30 items in 3 tiles of 10 rows
+    else:
+        monkeypatch.setattr(T, "WORKERS", 1)
+    out_dir = tmp_path / "run"
+    assert run("train", "--data", str(synth_bundle), "--out", str(out_dir), "--d", "8",
+               "--layers", "2", "--epochs", "1", "--tau", "1e-320") == EXIT_NUMERIC
+    assert capsys.readouterr().err == "numeric error: non-finite loss at epoch 0 batch 0\n"
+    assert runtime_warnings(recwarn) == []
+    assert sorted(p.name for p in out_dir.iterdir()) == ["config.json", "train.log"]
+    if pooled:
+        assert tiles
 
 
 def test_preset_sets_layers_and_beta(tmp_path, synth_bundle):

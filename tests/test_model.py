@@ -249,9 +249,9 @@ class TestInitParams:
     def test_same_seed_identical(self):
         h = Hyperparams(d=10, num_layers=1).validate()
         a, b = M.init_params(20, h, seed=5), M.init_params(20, h, seed=5)
-        assert a.names() == b.names()
-        for name in a.names():
-            np.testing.assert_array_equal(a[name].data, b[name].data)
+        assert list(a.tensors) == list(b.tensors)
+        for name, t in a.items():
+            np.testing.assert_array_equal(t.data, b[name].data)
 
     def test_different_seeds_differ(self):
         h = Hyperparams(d=10, num_layers=1).validate()
@@ -261,8 +261,8 @@ class TestInitParams:
     def test_bounds(self):
         h = Hyperparams(d=100, num_layers=0).validate()
         p = M.init_params(50, h, seed=1)
-        for name in p.names():
-            assert np.all(np.abs(p[name].data) <= 0.1)
+        for _, t in p.items():
+            assert np.all(np.abs(t.data) <= 0.1)
 
 
 @settings(max_examples=25, deadline=None)

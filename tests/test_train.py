@@ -43,8 +43,8 @@ class TestTrainLoop:
         a = TR.train(tiny_bundle, tiny_hyper())
         b = TR.train(tiny_bundle, tiny_hyper())
         assert [h["mean_loss"] for h in a.history] == [h["mean_loss"] for h in b.history]
-        for name in a.params.names():
-            np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
+        for name, t in a.params.items():
+            np.testing.assert_array_equal(t.data, b.params[name].data)
 
     def test_loss_decreases_on_memorization_fixture(self):
         bundle = memorization_bundle()
@@ -145,18 +145,52 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tiny_bundle, tmp_path):
         hyper, result = self._trained(tiny_bundle, tmp_path)
         vhash = vocab_hash(tiny_bundle.vocab)
-        params, state, hyper2, got_hash = TR.load_checkpoint(
+        params, steps, hyper2, got_hash = TR.load_checkpoint(
             tmp_path / "last.ckpt", expected_vocab_hash=vhash)
         assert got_hash == vhash and hyper2 == hyper
-        for name in result.params.names():
-            np.testing.assert_array_equal(params[name].data,
-                                          result.params[name].data)
+        for name, t in result.params.items():
+            np.testing.assert_array_equal(params[name].data, t.data)
         # re-saving reproduces the exact bytes
         adam = Adam(params.tensors, lr=hyper.lr, l2=hyper.l2)
-        adam.load_state_dict(state)
+        adam.t = steps
         TR.save_checkpoint(tmp_path / "again.ckpt", params, adam, hyper2, vhash)
         assert (tmp_path / "again.ckpt").read_bytes() == \
                (tmp_path / "last.ckpt").read_bytes()
+
+    def test_file_holds_the_parameters_only(self, tiny_bundle, tmp_path):
+        _, result = self._trained(tiny_bundle, tmp_path)
+        raw = (tmp_path / "last.ckpt").read_bytes()
+        head = len(TR.CHECKPOINT_MAGIC)
+        (meta_len,) = struct.unpack_from("<Q", raw, head)
+        entries = sum(t.data.size for _, t in result.params.items())
+        assert len(raw) == head + 8 + meta_len + 8 * entries
+
+    def test_file_with_adam_moments_loads(self, tiny_bundle, tmp_path):
+        # older files also hold Adam's m and v for each parameter, as
+        # adam_m/<name> and adam_v/<name> blocks after the parameter blocks
+        hyper, result = self._trained(tiny_bundle, tmp_path)
+        raw = (tmp_path / "last.ckpt").read_bytes()
+        params, steps, hyper1, vhash = TR.load_checkpoint(tmp_path / "last.ckpt")
+        rng = np.random.default_rng(0)
+        head = len(TR.CHECKPOINT_MAGIC)
+        offset = len(raw) - head - 8 - struct.unpack_from("<Q", raw, head)[0]
+        specs, blobs = [], []
+        for name, t in sorted(result.params.items()):
+            for kind in ("adam_m", "adam_v"):
+                rows, cols = t.shape
+                specs.append({"name": f"{kind}/{name}", "rows": rows, "cols": cols,
+                              "offset": offset})
+                blobs.append(rng.standard_normal((rows, cols)).tobytes())
+                offset += len(blobs[-1])
+        older = tmp_path / "older.ckpt"
+        older.write_bytes(rewrite_meta(raw, lambda m: dict(m, arrays=m["arrays"] + specs))
+                          + b"".join(blobs))
+        loaded, steps2, hyper2, vhash2 = TR.load_checkpoint(older)
+        assert (steps2, hyper2, vhash2) == (steps, hyper1, vhash)
+        assert steps > 0 and hyper1 == hyper
+        assert list(loaded.tensors) == list(params.tensors)
+        for name, t in result.params.items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
 
     def test_corrupted_file(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
