@@ -347,8 +347,10 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 # holds whole rows of the n x n score matrix, so the forward pass needs no
 # online softmax recurrence; it saves the n x 1 row log-normaliser, and the
 # backward pass recomputes each tile's probabilities as exp(scores - lse).
-# Peak memory is the inputs plus a few tiles of about TILE_ENTRIES entries
-# per thread at work, never an n x n array (FlashAttention, Dao et al. 2022).
+# Peak memory is the inputs plus one tile of about TILE_ENTRIES entries per
+# thread at work, never an n x n array (FlashAttention, Dao et al. 2022):
+# attention's backward overwrites a tile's probabilities with dS, taking
+# dO X^T an eighth of a tile at a time.
 #
 # The tiles are independent, so when numpy's OpenBLAS runs on one thread,
 # _tile_map runs them on up to WORKERS threads (FlashAttention-2, Dao 2023);
@@ -367,8 +369,9 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 
 TILE_ENTRIES = 2 ** 20   # float64 score entries per row tile (8 MiB)
 # threads on the row tiles, the calling one included; 1 runs them inline. The
-# cap of 4 is not measured: only 2 CPUs were, and each extra thread adds about
-# 17 MiB of peak memory at n = 2k (attention's backward P and dS, and its arena).
+# cap of 4 is not measured: only 2 CPUs were. In training at n = 2k each extra
+# thread adds about 8 MiB of traced peak (one attention backward tile) and
+# 15-22 MiB of peak RSS (the tile and its malloc arena).
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 4)
 
@@ -471,14 +474,20 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         dxt = np.zeros((d, n))
         dy = np.empty_like(y)
         rowdot = (g * out).sum(axis=1, keepdims=True)
+        rows = max(1, TILE_ENTRIES // 8 // n)   # an eighth of a tile of dO X^T
 
         def backward_tile(t):
+            # once P^T dO is taken, dS overwrites P a few rows at a time, so a
+            # tile holds one n-wide array (FlashAttention-2, Dao 2023)
+            gt, rt = g[t], rowdot[t]
             p = _probs(y[t] @ xd.T, lse[t])
-            ds = g[t] @ xd.T
-            ds -= rowdot[t]
-            ds *= p
-            dy[t] = ds @ xd
-            return g[t].T @ p, y[t].T @ ds
+            gp = gt.T @ p
+            for i in range(0, len(p), rows):
+                dp = gt[i:i + rows] @ xd.T
+                dp -= rt[i:i + rows]
+                p[i:i + rows] *= dp
+            dy[t] = p @ xd
+            return gp, y[t].T @ p
 
         for gp, yds in _tile_map(backward_tile, _row_tiles(n)):
             dxt += gp

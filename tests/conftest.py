@@ -1,6 +1,7 @@
 import ctypes
 import json
 import struct
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,6 +48,16 @@ def rewrite_meta(raw: bytes, edit) -> bytes:
     (meta_len,) = struct.unpack_from("<Q", raw, head)
     body = json.dumps(edit(json.loads(raw[head + 8:head + 8 + meta_len]))).encode()
     return CHECKPOINT_MAGIC + struct.pack("<Q", len(body)) + body + raw[head + 8 + meta_len:]
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak (bytes) of what fn() allocates while it runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class ReportedBlas:

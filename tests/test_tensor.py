@@ -2,7 +2,6 @@ import math
 import sys
 import threading
 import time
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +12,7 @@ from sessrec import loss as L
 from sessrec import model as M
 from sessrec import tensor as T
 from sessrec.tensor import ShapeError, Tape, Tensor, grad_check
-from conftest import ReportedBlas
+from conftest import ReportedBlas, traced_peak
 
 
 def rand(rng, r, c):
@@ -475,13 +474,11 @@ def _fwd_bwd_peak(n, d, layer):
     rng = np.random.default_rng(n)
     x = Tensor(rng.standard_normal((n, d)))
     w, b = Tensor(rng.standard_normal((d, d)) * 0.1), Tensor(rng.standard_normal((1, d)))
-    tracemalloc.start()
-    try:
+
+    def step():
         with Tape() as tape:
             tape.backward(layer(x, w, b))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(step)
 
 
 LAYERS = pytest.mark.parametrize("layer", [
@@ -511,6 +508,21 @@ def test_peak_memory_grows_linearly_on_pool(monkeypatch, tile_pool, layer):
     assert tile_pool
 
 
+def test_attention_backward_holds_one_tile(monkeypatch):
+    # n = 1024 in 16 tiles of 64 rows on one thread. Above what the same call
+    # holds with one-row tiles (its n x d arrays), the peak is one tile: dS
+    # overwrites P, with dO X^T an eighth of a tile at a time. Holding P and a
+    # separate dS would be two tiles.
+    monkeypatch.setattr(T, "WORKERS", 1)
+    n, d = 1024, 8
+    layer = lambda x, w, b: T.sum_all(M.attention_layer(x, w, b))
+    monkeypatch.setattr(T, "TILE_ENTRIES", n)
+    rows = _fwd_bwd_peak(n, d, layer)
+    monkeypatch.setattr(T, "TILE_ENTRIES", 2 ** 16)
+    tiles = _fwd_bwd_peak(n, d, layer)
+    assert tiles - rows < 1.25 * 2 ** 16 * 8
+
+
 # ---------------------------------------------------------------------------
 # row tiles on the thread pool
 # ---------------------------------------------------------------------------
@@ -527,14 +539,17 @@ def loop_attention(x, w, b, g):
         out[t] = (e @ x) / total
     dxt, dy = np.zeros((d, n)), np.empty_like(y)
     rowdot = (g * out).sum(axis=1, keepdims=True)
+    rows = max(1, T.TILE_ENTRIES // 8 // n)
     for t in T._row_tiles(n):
         p = T._probs(y[t] @ x.T, lse[t])
-        ds = g[t] @ x.T
-        ds -= rowdot[t]
-        ds *= p
         dxt += g[t].T @ p
-        dxt += y[t].T @ ds
-        dy[t] = ds @ x
+        for i in range(t.start, t.stop, rows):   # p becomes dS a few rows at a time
+            r = slice(i, min(i + rows, t.stop))
+            ds = g[r] @ x.T
+            ds -= rowdot[r]
+            p[i - t.start:r.stop - t.start] *= ds
+        dxt += y[t].T @ p
+        dy[t] = p @ x
     dx = dy @ w.T
     dx += dxt.T
     return [out, dx, x.T @ dy, dy.sum(axis=0, keepdims=True)]

@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from sessrec.evaluate import popularity_baseline
 from sessrec.model import Hyperparams
 from sessrec.optim import Adam
 from sessrec.tensor import Tape
-from conftest import indexed_bundle, memorization_bundle, rewrite_meta
+from conftest import indexed_bundle, memorization_bundle, rewrite_meta, traced_peak
 
 
 def tiny_hyper(**kw):
@@ -115,25 +114,37 @@ class TestTapeSize:
         hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
         assert self._records(large_bundle, batch, hyper) == 37
 
+    @staticmethod
+    def _step_peak(bundle):
+        """tracemalloc peak of one batch_loss + Tape.backward at the train-large
+        shape: d=100, L=3 and the first 100 training examples."""
+        hyper = Hyperparams().validate()
+        anorm = G.bundle_adjacency(bundle, hyper.epsilon)
+        params = M.init_params(bundle.vocab.n, hyper)
+
+        def step():
+            with Tape() as tape:
+                total, _ = TR.batch_loss(bundle.train[:100], anorm, params, hyper)
+                tape.backward(total)
+        return traced_peak(step)
+
     def test_one_step_peak_memory_at_2k_items(self, monkeypatch, large_bundle):
         # One step at the train-large shape traced 59.5 MiB while the tape kept
         # every record until backward ended and attention kept Y = XW + b, and
         # 40.9 MiB once backward frees each record after its VJP and attention
         # rebuilds Y. Keeping the records alone traced 56.5 MiB; attention's Y
         # alone (about 3 MiB) is pinned by the tape census test in test_tensor.
+        # With dS overwriting P in attention's backward it traces 40.1 MiB: on
+        # one thread the peak is set outside the attention tiles.
         monkeypatch.setattr(T, "WORKERS", 1)
-        hyper = Hyperparams().validate()       # d=100, L=3, batch 100
-        anorm = G.bundle_adjacency(large_bundle, hyper.epsilon)
-        params = M.init_params(large_bundle.vocab.n, hyper)
-        tracemalloc.start()
-        try:
-            with Tape() as tape:
-                total, _ = TR.batch_loss(large_bundle.train[:100], anorm, params, hyper)
-                tape.backward(total)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+        assert self._step_peak(large_bundle) < 48 * 2 ** 20
+
+    def test_one_step_peak_memory_at_2k_items_on_pool(self, large_bundle, tile_pool):
+        # Two threads each hold an attention backward tile of 524 x 2000 entries
+        # (8 MiB). Holding P and a separate dS per thread traced 54.2-60.0 MiB
+        # over 10 runs; with dS overwriting P, 48.2-49.7 MiB.
+        assert self._step_peak(large_bundle) < 52 * 2 ** 20
+        assert tile_pool
 
 
 class TestCheckpoint:
