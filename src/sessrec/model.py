@@ -122,8 +122,12 @@ def attention_layer(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def gcn_layer(anorm, x: Tensor, w: Tensor) -> Tensor:
-    """Row-normalized neighborhood aggregation: Anorm X W."""
-    return T.matmul(T.sparse_matmul(anorm.matrix, x), w)
+    """Row-normalized neighborhood aggregation Anorm (X W), one tape record.
+
+    The record keeps X and W only (X is the attention output the tape holds
+    anyway), so a layer adds one n x d array to the tape, its output.
+    """
+    return T.graph_conv(anorm.matrix, x, w)
 
 
 def propagate(x0: Tensor, anorm, params: ModelParams, num_layers: int,

@@ -168,14 +168,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sparse_matmul(s, b: Tensor) -> Tensor:
-    """Sparse-dense product S @ B. S is a scipy sparse matrix (not trainable)."""
+def graph_conv(s, x: Tensor, w: Tensor) -> Tensor:
+    """Graph convolution S (X W): S a scipy sparse matrix (not trainable), X n x d
+    and W d x d' -> n x d'. The record keeps its inputs only; the VJP takes
+    A = S^T dO once, then dX = A W^T and dW = X^T A."""
     if not sp.issparse(s):
-        raise ShapeError("sparse_matmul: left operand must be a scipy sparse matrix")
-    if s.shape[1] != b.shape[0]:
-        raise ShapeError(f"sparse_matmul: inner dimensions of {s.shape} and {b.shape} disagree")
-    out = Tensor(np.asarray(s @ b.data))
-    Tape._record(out, (b,), lambda g: (np.asarray(s.T.tocsr() @ g),))
+        raise ShapeError("graph_conv: left operand must be a scipy sparse matrix")
+    if s.shape[1] != x.shape[0] or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"graph_conv: shapes {s.shape}, {x.shape} and {w.shape} "
+                         "do not chain")
+    xd, wd = x.data, w.data
+    out = Tensor(np.asarray(s @ (xd @ wd)))
+
+    def vjp(g):
+        a = np.asarray(s.T @ g)   # S^T of a CSR matrix is a CSC view, not a copy
+        return a @ wd.T, xd.T @ a
+
+    Tape._record(out, (x, w), vjp)
     return out
 
 
@@ -345,12 +354,15 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 #
 # Both primitives below score every row against every other row. Each tile
 # holds whole rows of the n x n score matrix, so the forward pass needs no
-# online softmax recurrence; it saves the n x 1 row log-normaliser, and the
-# backward pass recomputes each tile's probabilities as exp(scores - lse).
-# Peak memory is the inputs plus one tile of about TILE_ENTRIES entries per
-# thread at work, never an n x n array (FlashAttention, Dao et al. 2022):
-# attention's backward overwrites a tile's probabilities with dS, taking
-# dO X^T an eighth of a tile at a time.
+# online softmax recurrence. Attention saves the n x 1 row log-normaliser, and
+# its backward pass recomputes each tile's probabilities as exp(scores - lse),
+# then overwrites them with dS, taking dO X^T an eighth of a tile at a time.
+# The Gram log-sum-exp is a scalar loss, so under a recording tape its forward
+# tiles take the gradient for a unit cotangent as they go and the record
+# keeps that n x d array: it has no backward tiles (fused loss kernels such as
+# Liger Kernel's linear cross-entropy, Hsu et al. 2024, do the same). Peak
+# memory is the inputs plus one tile of about TILE_ENTRIES entries per thread
+# at work, never an n x n array (FlashAttention, Dao et al. 2022).
 #
 # The tiles are independent, so when numpy's OpenBLAS runs on one thread,
 # _tile_map runs them on up to WORKERS threads (FlashAttention-2, Dao 2023);
@@ -359,8 +371,8 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 # the same way when no tape records, as in evaluation. The calling
 # thread is one of them: each extra thread keeps its own malloc arena, which
 # holds on to the tiles it freed and adds to peak memory. Tile boundaries
-# depend on n alone, forward tiles write disjoint rows, and the calling thread
-# adds the backward column terms in tile order, so the bytes do not depend on
+# depend on n alone, tiles write disjoint rows, and the calling thread adds
+# the column terms that tiles return in tile order, so the bytes do not depend on
 # the worker count. A threaded OpenBLAS already splits each tile's products
 # over the cores; the loop then stays serial, because its idle threads spin
 # after every call and would compete with the tile threads, and because its
@@ -370,8 +382,8 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 TILE_ENTRIES = 2 ** 20   # float64 score entries per row tile (8 MiB)
 # threads on the row tiles, the calling one included; 1 runs them inline. The
 # cap of 4 is not measured: only 2 CPUs were. In training at n = 2k each extra
-# thread adds about 8 MiB of traced peak (one attention backward tile) and
-# 15-22 MiB of peak RSS (the tile and its malloc arena).
+# thread adds about 11.5 MiB of traced peak (most of it one attention backward
+# tile) and 15-22 MiB of peak RSS (the tile and its malloc arena).
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 4)
 
@@ -437,7 +449,7 @@ def _probs(s: np.ndarray, lse: np.ndarray) -> np.ndarray:
     return np.exp(s, out=s)
 
 
-# The backward passes accumulate the column terms (P^T A, for a tile's P) into
+# The gradient tiles accumulate the column terms (P^T A, for a tile's P) into
 # the d x n transpose of the gradient, as A^T P: BLAS runs that product about
 # 1.6x faster than P^T A at the tile shapes here.
 
@@ -487,11 +499,11 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 dp -= rt[i:i + rows]
                 p[i:i + rows] *= dp
             dy[t] = p @ xd
-            return gp, y[t].T @ p
+            gp += y[t].T @ p
+            return gp
 
-        for gp, yds in _tile_map(backward_tile, _row_tiles(n)):
+        for gp in _tile_map(backward_tile, _row_tiles(n)):
             dxt += gp
-            dxt += yds
         dx = dy @ wd.T
         dx += dxt.T
         return dx, xd.T @ dy, dy.sum(axis=0, keepdims=True)
@@ -501,38 +513,39 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def gram_logsumexp(x: Tensor, c: float) -> Tensor:
-    """sum_i logsumexp_j(c x_i . x_j) over all row pairs: n x d -> 1 x 1."""
+    """sum_i logsumexp_j(c x_i . x_j) over all row pairs: n x d -> 1 x 1.
+
+    With no tape recording, the tiles compute the row log-sum-exps alone.
+    Under a recording Tape each forward tile also turns its exponentials into
+    the row softmax P of c X X^T and takes its rows of P X and its column term
+    X^T P, so the gradient for a unit cotangent, c (P + P^T) X, is ready when
+    the forward ends. The record keeps that n x d array, and its VJP scales
+    it by the 1 x 1 cotangent: no tile is rebuilt in backward. The value has
+    the same bytes either way.
+    """
     xd = x.data
     n, d = xd.shape
     lse = np.empty((n, 1))
+    recording = bool(Tape._stack)
+    if recording:
+        dx, dxt = np.empty_like(xd), np.zeros((d, n))
 
     def forward_tile(t):
         s = xd[t] @ xd.T
         s *= c
-        lse[t], _ = _exp_rows_(s)
+        lse[t], total = _exp_rows_(s)
+        if recording:
+            s /= total   # the tile's P
+            dx[t] = s @ xd
+            return xd[t].T @ s
 
-    for _ in _tile_map(forward_tile, _row_tiles(n)):
-        pass
-    out = Tensor(np.array([[lse.sum()]]))
-
-    def vjp(g):
-        # dX = g c (P + P^T) X with P the row softmax of c X X^T
-        dx = np.empty_like(xd)
-        dxt = np.zeros((d, n))
-
-        def backward_tile(t):
-            s = xd[t] @ xd.T
-            s *= c
-            p = _probs(s, lse[t])
-            dx[t] = p @ xd
-            return xd[t].T @ p
-
-        for xp in _tile_map(backward_tile, _row_tiles(n)):
+    for xp in _tile_map(forward_tile, _row_tiles(n)):
+        if recording:
             dxt += xp
+    out = Tensor(np.array([[lse.sum()]]))
+    if recording:
         dx += dxt.T
-        return (dx * (g[0, 0] * c),)
-
-    Tape._record(out, (x,), vjp)
+        Tape._record(out, (x,), lambda g: (dx * (g[0, 0] * c),))
     return out
 
 

@@ -1,8 +1,8 @@
 """Training loop: build the graph once, then epochs of batched updates.
 
-Per batch: refresh the item table via attention + graph convolution, encode
-and score every session in the batch, combine cross-entropy with the
-self-contrastive term, backpropagate, and take one Adam step. Each epoch
+Per batch: refresh the item table via attention + graph convolution, take
+the self-contrastive term over it, encode and score every session in the
+batch, add the cross-entropy, backpropagate, and take one Adam step. Each epoch
 ends with a test evaluation and a best-P@20 checkpoint.
 """
 from __future__ import annotations
@@ -44,16 +44,16 @@ class TrainResult:
 def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
     """Forward pass and combined loss for one batch of (prefix, target) pairs.
 
+    The SPL term comes right after propagate, before the sessions are encoded
+    and scored: under a tape its forward tiles also take its gradient, and
+    then share memory with propagate's records only.
+
     Returns (total Tensor, LossBreakdown).
     """
     x_v = model_mod.propagate(params["item_emb"], anorm, params,
                               hyper.num_layers, hyper.use_attention)
     prefixes = [ex.prefix for ex in examples]
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
-    parts = [loss_mod.cross_entropy_rows(model_mod.predict(scores), targets[positions],
-                                         hyper.ce_form)
-             for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper)]
-    l_ce = T.scale(T.add(*parts), 1.0 / len(examples))
     l_spl = None
     if hyper.use_spl and hyper.beta > 0:
         if hyper.spl_scope == "batch_items":
@@ -64,6 +64,10 @@ def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
         else:
             reps = x_v
         l_spl = loss_mod.single_positive_loss(reps, hyper.tau)
+    parts = [loss_mod.cross_entropy_rows(model_mod.predict(scores), targets[positions],
+                                         hyper.ce_form)
+             for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper)]
+    l_ce = T.scale(T.add(*parts), 1.0 / len(examples))
     return loss_mod.total_loss(l_ce, l_spl, hyper.beta)
 
 

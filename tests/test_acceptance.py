@@ -145,11 +145,13 @@ def test_criterion_2_gradient_correctness(monkeypatch):
         return Tensor(rng.standard_normal((rows, cols)) + shift)
 
     sparse = sp.csr_matrix(np.triu(np.ones((4, 4))) / 4.0)
+    conv_rng = np.random.default_rng(1)
     prim_checks = {
         "matmul": lambda a=r(3, 4), b=r(4, 2): (
             lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b]),
-        "sparse_matmul": lambda x=r(4, 3): (
-            lambda: T.sum_all(T.tanh(T.sparse_matmul(sparse, x))), [x]),
+        # w has its own generator, so the entries below draw at the same offsets
+        "graph_conv": lambda x=r(4, 3), w=Tensor(conv_rng.standard_normal((3, 2))): (
+            lambda: T.sum_all(T.tanh(T.graph_conv(sparse, x, w))), [x, w]),
         "add": lambda a=r(3, 3), b=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.add(a, b))), [a, b]),
         "add/row": lambda x=r(3, 4), b=r(1, 4): (

@@ -36,21 +36,43 @@ def test_matmul_shape_error_names_both_shapes():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
-def test_sparse_row_selects_embedding_row():
+def test_graph_conv_row_selects_embedding_row():
     emb = np.arange(12.0).reshape(4, 3)
     s = sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 4))
-    out = T.sparse_matmul(s, Tensor(emb))
+    out = T.graph_conv(s, Tensor(emb), Tensor(np.eye(3)))
     np.testing.assert_array_equal(out.data, emb[2:3])
 
 
-def test_sparse_matches_dense():
+def test_graph_conv_matches_dense():
     rng = np.random.default_rng(2)
     for n in (1, 7, 64):
         dense = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
-        x = rand(rng, n, 5)
-        got = T.sparse_matmul(sp.csr_matrix(dense), x)
-        want = dense @ x.data
+        x, w = rand(rng, n, 5), rand(rng, 5, 3)
+        got = T.graph_conv(sp.csr_matrix(dense), x, w)
+        want = dense @ x.data @ w.data
         np.testing.assert_allclose(got.data, want, atol=1e-12)
+
+
+def test_graph_conv_backward_reads_the_transpose_in_place():
+    # S^T dO through the CSC view of S^T has the bytes of a transposed CSR copy
+    rng = np.random.default_rng(3)
+    dense = rng.random((30, 30)) * (rng.random((30, 30)) < 0.3)
+    s, x, w = sp.csr_matrix(dense), rand(rng, 30, 5), rand(rng, 5, 4)
+    g = rng.standard_normal((30, 4))
+    with Tape() as tape:
+        tape.backward(T.sum_all(T.mul(T.graph_conv(s, x, w), Tensor(g))))
+    a = s.T.tocsr() @ g
+    _assert_same_bytes([x.grad, w.grad], [a @ w.data.T, x.data.T @ a])
+
+
+def test_graph_conv_rejects_operands_that_do_not_chain():
+    s = sp.identity(3, format="csr")
+    with pytest.raises(ShapeError, match="graph_conv"):
+        T.graph_conv(np.eye(3), Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeError, match="graph_conv"):
+        T.graph_conv(s, Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeError, match="graph_conv"):
+        T.graph_conv(s, Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
 
 
 def test_elementwise_trivials():
@@ -72,6 +94,30 @@ def test_gram_logsumexp_orthogonal_rows():
     # each row scores 1 against itself and 0 against the other: log(e + 1) per row
     out = T.gram_logsumexp(Tensor([[1.0, 0.0], [0.0, 1.0]]), 1.0)
     np.testing.assert_allclose(out.data, [[2.0 * np.log1p(np.e)]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("budget", [2 ** 20, 21])   # one tile; tiles of 3, 3 and 1 rows
+def test_gram_logsumexp_value_does_not_depend_on_the_tape(monkeypatch, budget):
+    monkeypatch.setattr(T, "TILE_ENTRIES", budget)
+    x = rand(np.random.default_rng(13), 7, 3)
+    bare = T.gram_logsumexp(x, 1.7)
+    with Tape() as tape:
+        recorded = T.gram_logsumexp(x, 1.7)
+    assert recorded.data.tobytes() == bare.data.tobytes()
+    assert len(tape.records) == 1
+
+
+def test_gram_logsumexp_backward_scales_its_gradient_by_the_cotangent():
+    # the record holds the gradient for a unit cotangent; a cotangent of 2
+    # doubles it exactly
+    x = rand(np.random.default_rng(14), 7, 3)
+    grads = []
+    for factor in (1.0, 2.0):
+        x.grad = None
+        with Tape() as tape:
+            tape.backward(T.scale(T.gram_logsumexp(x, 0.9), factor))
+        grads.append(x.grad)
+    assert (2.0 * grads[0]).tobytes() == grads[1].tobytes()
 
 
 def test_backward_requires_scalar():
@@ -148,6 +194,14 @@ def test_tape_census_counts_closure_arrays_once():
     tape.records += [(out1, (a,), vjp1), (out2, (out1,), vjp2)]
     assert T.tape_census(tape) == (2, 4 * 5 * 8 + 8, 7 * 8 + 2 * 2 * 8)
     assert T.tape_census(Tape()) == (0, 0, 0)
+
+
+def test_gram_logsumexp_record_holds_its_gradient():
+    # the n x d gradient, taken in the forward tiles, is the closure's only array
+    n, d = 9, 4
+    with Tape() as tape:
+        T.gram_logsumexp(rand(np.random.default_rng(15), n, d), 0.5)
+    assert T.tape_census(tape) == (1, 8, n * d * 8)
 
 
 def test_attention_record_holds_only_its_log_normaliser():
@@ -282,10 +336,10 @@ class TestPrimitiveGradients:
         a, b = rand(self.rng, 3, 4), rand(self.rng, 4, 2)
         _check(lambda: T.sum_all(T.tanh(T.matmul(a, b))), [a, b])
 
-    def test_sparse_matmul(self):
+    def test_graph_conv(self):
         s = sp.csr_matrix(np.triu(np.ones((4, 4))))
-        x = rand(self.rng, 4, 3)
-        _check(lambda: T.sum_all(T.tanh(T.sparse_matmul(s, x))), [x])
+        x, w = rand(self.rng, 4, 3), rand(self.rng, 3, 2)
+        _check(lambda: T.sum_all(T.tanh(T.graph_conv(s, x, w))), [x, w])
 
     def test_add_with_every_broadcast(self):
         a, b = rand(self.rng, 3, 4), rand(self.rng, 3, 4)
@@ -542,13 +596,14 @@ def loop_attention(x, w, b, g):
     rows = max(1, T.TILE_ENTRIES // 8 // n)
     for t in T._row_tiles(n):
         p = T._probs(y[t] @ x.T, lse[t])
-        dxt += g[t].T @ p
+        gp = g[t].T @ p
         for i in range(t.start, t.stop, rows):   # p becomes dS a few rows at a time
             r = slice(i, min(i + rows, t.stop))
             ds = g[r] @ x.T
             ds -= rowdot[r]
             p[i - t.start:r.stop - t.start] *= ds
-        dxt += y[t].T @ p
+        gp += y[t].T @ p
+        dxt += gp
         dy[t] = p @ x
     dx = dy @ w.T
     dx += dxt.T
@@ -556,20 +611,17 @@ def loop_attention(x, w, b, g):
 
 
 def loop_gram_logsumexp(x, c):
-    """The serial row-tile loop of gram_logsumexp and its gradient."""
+    """The serial row-tile loop of gram_logsumexp and its gradient, both
+    taken in one pass over the tiles."""
     n, d = x.shape
-    lse = np.empty((n, 1))
+    lse, dx, dxt = np.empty((n, 1)), np.empty_like(x), np.zeros((d, n))
     for t in T._row_tiles(n):
         s = x[t] @ x.T
         s *= c
-        lse[t], _ = T._exp_rows_(s)
-    dx, dxt = np.empty_like(x), np.zeros((d, n))
-    for t in T._row_tiles(n):
-        s = x[t] @ x.T
-        s *= c
-        p = T._probs(s, lse[t])
-        dx[t] = p @ x
-        dxt += x[t].T @ p
+        lse[t], total = T._exp_rows_(s)
+        s /= total
+        dx[t] = s @ x
+        dxt += x[t].T @ s
     dx += dxt.T
     return [np.array([[lse.sum()]]), dx * (1.0 * c)]
 
@@ -620,9 +672,10 @@ def test_pool_gives_the_serial_bytes(monkeypatch, tile_pool, n, budget, workers)
     assert not tile_pool
     monkeypatch.setattr(T, "WORKERS", workers)
     pooled = _kernel_outputs(n)
-    # four passes over the tiles (two forwards, two backwards), each with the
+    # three passes over the tiles (attention's forward and backward, and
+    # gram_logsumexp's forward, which takes its gradient too), each with the
     # first tile of every chunk of `workers` on the calling thread
-    assert len(tile_pool) == 4 * _pooled_tiles(len(list(T._row_tiles(n))), workers)
+    assert len(tile_pool) == 3 * _pooled_tiles(len(list(T._row_tiles(n))), workers)
     _assert_same_bytes(pooled, serial)
 
 
@@ -723,5 +776,5 @@ def test_pool_stress_more_workers_than_cores(monkeypatch, tile_pool):
             _assert_same_bytes(_kernel_outputs(40), serial)
     finally:
         sys.setswitchinterval(interval)
-    assert len(tile_pool) == 5 * 4 * _pooled_tiles(40, 6)
+    assert len(tile_pool) == 5 * 3 * _pooled_tiles(40, 6)
 
