@@ -56,15 +56,17 @@ def build_global_graph(sessions, n: int, config: GraphConfig | None = None) -> G
     lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
     items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
     session = np.repeat(np.arange(len(seqs)), lengths)
+    # hops past the longest session never hit, so they get no column
+    width = min(config.epsilon, int(lengths.max(initial=1)) - 1)
     # keys[i, dist-1] = items[i]*n + items[i+dist], or -1 past the session's end
-    keys = np.full((items.size, config.epsilon), -1, dtype=np.int64)
-    for dist in range(1, config.epsilon + 1):
+    keys = np.full((items.size, width), -1, dtype=np.int64)
+    for dist in range(1, width + 1):
         hop = keys[:-dist, dist - 1]
         np.multiply(items[:-dist], n, out=hop)
         hop += items[dist:]
         hop[session[dist:] != session[:-dist]] = -1
     hit = keys >= 0
-    hop_weight = 1.0 / (1 + np.arange(1, config.epsilon + 1))
+    hop_weight = 1.0 / (1 + np.arange(1, width + 1))
     uniq, inverse = np.unique(keys[hit], return_inverse=True)
     weight = np.zeros(uniq.size)
     np.add.at(weight, inverse, np.broadcast_to(hop_weight, keys.shape)[hit])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from itertools import chain
 
 import numpy as np

@@ -364,26 +364,29 @@ def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tenso
 # memory is the inputs plus one tile of about TILE_ENTRIES entries per thread
 # at work, never an n x n array (FlashAttention, Dao et al. 2022).
 #
-# The tiles are independent, so when numpy's OpenBLAS runs on one thread,
-# _tile_map runs them on up to WORKERS threads (FlashAttention-2, Dao 2023);
-# numpy releases the GIL inside BLAS calls and large ufuncs. It takes any
-# list of row slices: model.forward_groups hands it its chunks of prefixes
-# the same way when no tape records, as in evaluation. The calling
-# thread is one of them: each extra thread keeps its own malloc arena, which
-# holds on to the tiles it freed and adds to peak memory. Tile boundaries
-# depend on n alone, tiles write disjoint rows, and the calling thread adds
-# the column terms that tiles return in tile order, so the bytes do not depend on
-# the worker count. A threaded OpenBLAS already splits each tile's products
-# over the cores; the loop then stays serial, because its idle threads spin
-# after every call and would compete with the tile threads, and because its
-# threaded products round differently from its single-threaded ones.
+# The tiles are independent, so _tile_map runs them on up to WORKERS threads
+# (FlashAttention-2, Dao 2023); numpy releases the GIL inside BLAS calls and
+# large ufuncs. It takes any list of row slices: model.forward_groups hands it
+# its chunks of prefixes the same way when no tape records, as in evaluation.
+# The calling thread is one of them: each extra thread keeps its own malloc
+# arena, which holds on to the tiles it freed and adds to peak memory. Tile
+# boundaries depend on n alone, tiles write disjoint rows, and the calling
+# thread adds the column terms that tiles return in tile order, so the bytes
+# do not depend on the worker count. At import, numpy's OpenBLAS is set to one
+# thread for the whole process: its idle threads would spin after every call
+# and compete with the tile threads, and its threaded products round
+# differently, so the bytes would depend on the host. A BLAS whose thread
+# count cannot be set runs the tiles in turn and splits each one over its own
+# threads.
 # ---------------------------------------------------------------------------
 
 TILE_ENTRIES = 2 ** 20   # float64 score entries per row tile (8 MiB)
-# threads on the row tiles, the calling one included; 1 runs them inline. The
-# cap of 4 is not measured: only 2 CPUs were. In training at n = 2k each extra
-# thread adds about 11.5 MiB of traced peak (most of it one attention backward
-# tile) and 15-22 MiB of peak RSS (the tile and its malloc arena).
+# threads on the row tiles, the calling one included; 1 runs them inline. They
+# are the only threads the kernels use, as OpenBLAS runs on one, so a host
+# with more than 4 CPUs leaves the rest idle. The cap of 4 is not measured:
+# only 2 CPUs were. In training at n = 2k each extra thread adds about
+# 11.5 MiB of traced peak (most of it one attention backward tile) and
+# 15-22 MiB of peak RSS (the tile and its malloc arena).
 WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 4)
 
@@ -397,31 +400,33 @@ def _row_tiles(n: int) -> list:
 @functools.cache
 def _openblas():
     """The OpenBLAS library that numpy loaded, or None when it or its
-    thread-count getter cannot be found."""
+    thread-count setter cannot be found."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
             lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
         return lib
     return None
+
+
+if _openblas() is not None:
+    _openblas().scipy_openblas_set_num_threads64_(1)
 
 
 def _tile_map(fn, tiles: list):
     """Yield fn(t) for each row slice t in tiles, in their order.
 
-    When there are several tiles and OpenBLAS runs on one thread, the tiles
-    go in chunks of WORKERS: the calling thread runs the first of each chunk
-    and a pool of WORKERS - 1 threads, alive for this call only, the rest.
-    Otherwise they run inline, and OpenBLAS's own threads, if any, split each
+    When there are several tiles and numpy's OpenBLAS was found, the tiles go
+    in chunks of WORKERS: the calling thread runs the first of each chunk and
+    a pool of WORKERS - 1 threads, alive for this call only, the rest.
+    Otherwise they run inline, and a BLAS with threads of its own splits each
     tile's products.
     """
-    blas = _openblas()
-    if (WORKERS < 2 or len(tiles) < 2 or blas is None
-            or blas.scipy_openblas_get_num_threads64_() != 1):
+    if WORKERS < 2 or len(tiles) < 2 or _openblas() is None:
         yield from map(fn, tiles)
         return
     # leaving the block, on success or failure, waits for every tile it started

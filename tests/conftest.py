@@ -1,8 +1,9 @@
-import ctypes
 import json
+import os
 import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,19 +61,24 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-class ReportedBlas:
-    """Stands in for numpy's OpenBLAS in tensor._openblas: reports `threads` threads."""
-
-    def __init__(self, threads: int):
-        self.threads = threads
-
-    def scipy_openblas_get_num_threads64_(self) -> int:
-        return self.threads
+def child_env(**env) -> dict:
+    """os.environ with env set and sessrec's source tree on PYTHONPATH, for a
+    child Python process."""
+    path = os.pathsep.join(filter(None, [str(Path(T.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **env)
 
 
 @pytest.fixture
-def pool_submissions(monkeypatch):
-    """The row tiles that tensor._tile_map hands to its thread pool in the test."""
+def tile_pool(monkeypatch):
+    """Run the fused kernels' row tiles on 2 threads for the test: the calling
+    one and a pool thread. Returns the list of tiles submitted to the pool.
+
+    The pool runs only where numpy's OpenBLAS was found. The fixture makes
+    the lookup report a library, so the pool runs whichever BLAS numpy uses;
+    the tests' products are far too small for a BLAS to split them over
+    threads, so their bytes do not depend on its thread count.
+    """
     submitted = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -81,34 +87,6 @@ def pool_submissions(monkeypatch):
             return super().submit(fn, tile)
 
     monkeypatch.setattr(T, "ThreadPoolExecutor", CountingPool)
-    return submitted
-
-
-@pytest.fixture
-def tile_pool(monkeypatch, pool_submissions):
-    """Run the fused kernels' row tiles on 2 threads for the test: the calling
-    one and a pool thread. Returns the list of tiles submitted to the pool.
-
-    The pool runs only while numpy's OpenBLAS reports one thread. The fixture
-    puts a library that does in its place, so the pool runs whichever BLAS
-    numpy uses; the tests' products are far too small for a BLAS to split
-    them over threads, so their bytes do not depend on its thread count.
-    """
-    monkeypatch.setattr(T, "_openblas", lambda: ReportedBlas(1))
+    monkeypatch.setattr(T, "_openblas", object)
     monkeypatch.setattr(T, "WORKERS", 2)
-    return pool_submissions
-
-
-@pytest.fixture
-def real_openblas():
-    """numpy's OpenBLAS as tensor._openblas finds it, with a typed thread-count
-    setter; its thread count is restored after the test. Skips the test when
-    the library or its symbols cannot be found."""
-    lib = T._openblas()
-    if lib is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be read")
-    put = lib.scipy_openblas_set_num_threads64_
-    put.restype, put.argtypes = None, [ctypes.c_int]
-    before = lib.scipy_openblas_get_num_threads64_()
-    yield lib
-    put(before)
+    return submitted

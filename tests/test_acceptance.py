@@ -6,6 +6,8 @@ their runtime budgets.
 """
 import inspect
 import json
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from sessrec.evaluate import (evaluate_model, mrr_at_k, popularity_baseline,
 from sessrec.model import Hyperparams
 from sessrec.optim import Adam
 from sessrec.tensor import Tape, Tensor, grad_check
-from conftest import memorization_bundle
+from conftest import child_env, memorization_bundle
 
 
 def report(criterion: str, ok: bool, detail: str):
@@ -391,3 +393,22 @@ def test_criterion_9_determinism(tmp_path):
                  == (dirs[1] / "last.ckpt").read_bytes())
     report("criterion-9 determinism", same_metrics and same_best and same_last,
            "metrics.json and checkpoints byte-identical across two runs")
+
+
+def test_criterion_9_determinism_across_openblas_threads(tmp_path):
+    # the user's OpenBLAS thread count, set before numpy loads, does not reach
+    # the bytes: a default run writes the same files on one thread and on two
+    def sessrec(*argv, threads="1"):
+        subprocess.run([sys.executable, "-m", "sessrec.cli", *map(str, argv)],
+                       env=child_env(OPENBLAS_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+
+    bundle = tmp_path / "bundle.json"
+    sessrec("synth", "--out", bundle)
+    for threads in ("1", "2"):
+        sessrec("train", "--data", bundle, "--out", tmp_path / threads, "--epochs", "1",
+                threads=threads)
+    differ = [name for name in ("metrics.json", "best.ckpt", "last.ckpt")
+              if (tmp_path / "1" / name).read_bytes() != (tmp_path / "2" / name).read_bytes()]
+    report("criterion-9 determinism across OpenBLAS threads", not differ,
+           f"differ under OPENBLAS_NUM_THREADS=1 and =2: {differ or 'none'}")

@@ -316,6 +316,14 @@ def test_build_graph_bad_epsilon_exit_code(tmp_path, synth_bundle):
     assert not out.exists()
 
 
+def test_epsilon_past_every_session_runs(tmp_path, synth_bundle):
+    huge = str(10 ** 9)
+    assert run("build-graph", "--in", str(synth_bundle), "--out", str(tmp_path / "g.json"),
+               "--epsilon", huge) == EXIT_OK
+    assert run("train", "--data", str(synth_bundle), "--out", str(tmp_path / "run"),
+               "--d", "4", "--layers", "1", "--epochs", "1", "--epsilon", huge) == EXIT_OK
+
+
 @pytest.mark.parametrize("flag,value", [("--d", "0"), ("--layers", "-1"), ("--n", "0"),
                                         ("--tau", "nan"), ("--seed", "-1"),
                                         ("--tolerance", "nan"), ("--tolerance", "-1")])

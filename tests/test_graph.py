@@ -121,6 +121,18 @@ def test_epsilon_truncation():
     assert (0, 3) not in g.edges
 
 
+def test_epsilon_past_the_longest_session_gives_the_same_arrays():
+    # hops past the longest session are never taken, so a huge epsilon costs
+    # no more than the longest session's length minus one
+    sessions = [[0, 1, 2, 3, 1], [3, 2], [4], []]
+    want = build_global_graph(sessions, 5, GraphConfig(4))
+    got = build_global_graph(sessions, 5, GraphConfig(10 ** 12))
+    for name in ("src", "dst", "weight"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for short in ([], [[4]], [[4], []]):
+        assert build_global_graph(short, 5, GraphConfig(10 ** 12)).src.size == 0
+
+
 def test_row_normalize_hand_values():
     g = edges_from_list(3, [[0, 1, 0.5], [0, 2, 1 / 3]])
     a = row_normalize(g).matrix.toarray()

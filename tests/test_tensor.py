@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import threading
 import time
@@ -12,7 +13,7 @@ from sessrec import loss as L
 from sessrec import model as M
 from sessrec import tensor as T
 from sessrec.tensor import ShapeError, Tape, Tensor, grad_check
-from conftest import ReportedBlas, traced_peak
+from conftest import child_env, traced_peak
 
 
 def rand(rng, r, c):
@@ -679,28 +680,8 @@ def test_pool_gives_the_serial_bytes(monkeypatch, tile_pool, n, budget, workers)
     _assert_same_bytes(pooled, serial)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_real_openblas_thread_count_gates_the_pool(monkeypatch, real_openblas,
-                                                   pool_submissions, threads):
-    # the pool runs only while numpy's OpenBLAS is on one thread, and a call
-    # leaves its thread count as it found it
-    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
-    monkeypatch.setattr(T, "WORKERS", 2)
-    real_openblas.scipy_openblas_set_num_threads64_(threads)
-    _kernel_outputs(7)
-    assert bool(pool_submissions) == (threads == 1)
-    assert real_openblas.scipy_openblas_get_num_threads64_() == threads
-
-
 def test_single_tile_stays_inline(tile_pool):
     _kernel_outputs(7)   # the default budget holds 7 rows in one tile
-    assert not tile_pool
-
-
-def test_threaded_blas_stays_serial(monkeypatch, tile_pool):
-    monkeypatch.setattr(T, "TILE_ENTRIES", 21)
-    monkeypatch.setattr(T, "_openblas", lambda: ReportedBlas(2))
-    _kernel_outputs(7)
     assert not tile_pool
 
 
@@ -719,8 +700,30 @@ def test_openblas_lookup_without_the_symbol_gives_none(monkeypatch):
         def __init__(self, path):
             pass
 
-    monkeypatch.setattr(T.ctypes, "CDLL", NoSymbols)
-    assert T._openblas.__wrapped__() is None
+    class NoSetter(NoSymbols):
+        scipy_openblas_get_num_threads64_ = staticmethod(lambda: 1)
+
+    for lib in (NoSymbols, NoSetter):
+        monkeypatch.setattr(T.ctypes, "CDLL", lib)
+        assert T._openblas.__wrapped__() is None
+
+
+def test_import_sets_numpys_openblas_to_one_thread():
+    # a user's OPENBLAS_NUM_THREADS gives way to one thread, and the tiles
+    # run on the pool
+    if T._openblas() is None:
+        pytest.skip("numpy's OpenBLAS cannot be found")
+    script = ("import ctypes, threading\n"
+              "from sessrec import tensor as T\n"
+              "get = T._openblas().scipy_openblas_get_num_threads64_\n"
+              "get.restype, get.argtypes = ctypes.c_int, []\n"
+              "T.WORKERS = 2\n"
+              "names = T._tile_map(lambda t: threading.current_thread().name,\n"
+              "                    [slice(0, 1), slice(1, 2)])\n"
+              "print(get(), len(set(names)))\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=child_env(OPENBLAS_NUM_THREADS="2"), check=True)
+    assert child.stdout.split() == ["1", "2"]
 
 
 def test_tile_map_keeps_order_and_one_tile_per_worker(monkeypatch, tile_pool):
