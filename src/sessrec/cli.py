@@ -289,9 +289,12 @@ def cmd_eval(args) -> int:
     params, _steps, hyper, _vh = train_mod.load_checkpoint(
         args.checkpoint, expected_vocab_hash=vocab_hash(bundle.vocab))
     anorm = graph_mod.bundle_adjacency(bundle, hyper.epsilon)
-    x_v = model_mod.propagate(params["item_emb"], anorm, params,
-                              hyper.num_layers, hyper.use_attention)
-    report = eval_mod.evaluate_model(bundle.test, x_v, params, hyper, ks=ks)
+    with warnings.catch_warnings():
+        # non-finite scores raise NumericError, so numpy's warnings go (see cmd_train)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        x_v = model_mod.propagate(params["item_emb"], anorm, params,
+                                  hyper.num_layers, hyper.use_attention)
+        report = eval_mod.evaluate_model(bundle.test, x_v, params, hyper, ks=ks)
     with output_errors(args.out), open(args.out, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, separators=(",", ":"))
     print(json.dumps(report.to_dict(), sort_keys=True))

@@ -7,6 +7,7 @@ from itertools import chain
 import numpy as np
 
 from . import model as model_mod
+from .optim import NumericError
 
 
 class EvalError(ValueError):
@@ -65,11 +66,15 @@ def report_from_ranks(ranks, ks) -> EvalReport:
 
 
 def ranks_for_examples(examples, x_v, params, hyper) -> np.ndarray:
-    """Target ranks for a list of (prefix, target) examples; forward-only."""
+    """Target ranks for a list of (prefix, target) examples; forward-only.
+    Raises NumericError on a score that is not finite: no comparison with NaN
+    holds, so ranks would put every such target first."""
     prefixes = [ex.prefix for ex in examples]
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
     out = np.zeros(len(examples), dtype=np.int64)
     for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper):
+        if not np.isfinite(scores.data).all():
+            raise NumericError("a score is not finite, so no rank is defined")
         out[positions] = ranks(scores.data, targets[positions])
     return out
 

@@ -13,8 +13,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-PROB_EPS = 1e-12
-
 
 @dataclass
 class LossBreakdown:
@@ -23,14 +21,14 @@ class LossBreakdown:
     total: float
 
 
-def cross_entropy_rows(y_hat: Tensor, targets, form: str = "as_printed") -> Tensor:
-    """Summed cross-entropy over the rows of a g x n probability matrix, with
-    every probability clamped to [PROB_EPS, 1 - PROB_EPS]; one tape record.
+def cross_entropy_rows(z: Tensor, targets, form: str = "as_printed") -> Tensor:
+    """Summed cross-entropy over the row softmax p of a g x n score matrix,
+    computed from the scores in log space; one tape record.
 
     form="as_printed": full binary sum -[log p_t + sum_{i != t} log(1 - p_i)].
     form="softmax_ce": categorical -log p_t.
     """
-    g, n = y_hat.shape
+    g, n = z.shape
     targets = np.asarray(targets, dtype=np.intp).ravel()
     if targets.size != g:
         raise ValueError(f"{targets.size} targets for {g} rows")
@@ -38,7 +36,7 @@ def cross_entropy_rows(y_hat: Tensor, targets, form: str = "as_printed") -> Tens
         raise ValueError("target index out of range")
     if form not in ("as_printed", "softmax_ce"):
         raise ValueError(f"unknown ce_form {form!r}")
-    return T.clamped_cross_entropy(y_hat, targets, PROB_EPS, form == "as_printed")
+    return T.softmax_cross_entropy(z, targets, form == "as_printed")
 
 
 def single_positive_loss(x: Tensor, tau: float) -> Tensor:

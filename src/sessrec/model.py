@@ -162,7 +162,7 @@ def encode_session(items: np.ndarray, lengths: np.ndarray, x_v: Tensor,
 def session_attention(xstar: Tensor, lengths: np.ndarray, params: ModelParams) -> Tensor:
     """Soft attention pooling per session of lengths[s] consecutive rows:
     theta = sum_t a_t x_t*, a_t unnormalized. sum(lengths) x d -> len(lengths) x d."""
-    xs = T.mul(T.sum_blocks(xstar, lengths), Tensor(1.0 / lengths[:, None]))  # means
+    xs = T.scale(T.sum_blocks(xstar, lengths), 1.0 / lengths[:, None])  # means
     h = T.sigmoid(T.add(T.matmul(xstar, params["w3"]),
                         T.repeat_rows(T.matmul(xs, params["w2"]), lengths), params["c"]))
     a = T.matmul(h, params["q"])                    # sum(lengths) x 1
@@ -175,8 +175,13 @@ def score(theta: Tensor, x_vt: Tensor) -> Tensor:
 
 
 def predict(z: Tensor) -> Tensor:
-    """Softmax-normalized scores: a probability vector per row."""
-    return T.row_softmax(z)
+    """Softmax-normalized scores: a probability vector per row. Nothing
+    differentiates through it (training takes the loss from the scores), so it
+    records nothing."""
+    p = z.data.copy()
+    _, total = T._exp_rows_(p)
+    p /= total
+    return Tensor(p)
 
 
 def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams) -> Tensor:

@@ -202,7 +202,11 @@ def add(x: Tensor, *terms: Tensor) -> Tensor:
     return out
 
 
-def scale(x: Tensor, c: float) -> Tensor:
+def scale(x: Tensor, c) -> Tensor:
+    """x times a constant c: a float, or an array broadcast over x like an add
+    term. c is not an input of the record, so backward takes no gradient for it."""
+    if isinstance(c, np.ndarray):
+        _check_broadcast(x, c, "scale")
     out = Tensor(x.data * c)
     Tape._record(out, (x,), lambda g: (g * c,))
     return out
@@ -301,15 +305,6 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def row_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s)
-    Tape._record(out, (x,), lambda g: (s * (g - (g * s).sum(axis=1, keepdims=True)),))
-    return out
-
-
 def normalize_rows(x: Tensor) -> Tensor:
     norms = np.linalg.norm(x.data, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -324,28 +319,67 @@ def normalize_rows(x: Tensor) -> Tensor:
     return out
 
 
-def clamped_cross_entropy(p: Tensor, targets, eps: float, binary: bool) -> Tensor:
-    """-sum_r log p[r, t_r] over g x n probability rows plus, when binary, every
-    -log(1 - p[r, i]) with i != t_r; each probability is clamped to [eps, 1 - eps]
-    and gets a zero gradient where the clamp bites: g x n -> 1 x 1."""
-    pd, rows = p.data, np.arange(p.shape[0])
-    pt = pd[rows, targets]
-    value = -np.log(np.clip(pt, eps, 1.0 - eps)).sum()
+def softmax_cross_entropy(z: Tensor, targets, binary: bool) -> Tensor:
+    """-sum_r log p[r, t_r] over the row softmax p of g x n scores z plus, when
+    binary, every -log(1 - p[r, i]) with i != t_r: g x n -> 1 x 1.
+
+    It works in log space, with no clamp: -log p_t = (z_top - z_t) + log1p(o),
+    where top is the row's largest score and o the sum of its other entries'
+    exp(z - z_top). Every entry but the top has p <= 1/2, so log1p(-p) is exact
+    for it, and 1 - p_top is o / (1 + o), with o summed directly; only a row
+    whose other entries all underflow (about 745 below the top) has
+    1 - p_top = 0, and then an infinite binary loss unless its top is the
+    target. The record keeps z and g-vectors (the row log-normaliser, top,
+    1 - p_top); its VJP rebuilds p and takes the top's terms without
+    subtracting large numbers.
+    """
+    zd, targets = z.data, np.asarray(targets)
+    rows = np.arange(zd.shape[0])
+    top = zd.argmax(axis=1)
+    z_top = zd[rows, top]
+    e = zd.copy()
+    _, total = _exp_rows_(e)
+    e[rows, top] = 0.0
+    other = e.sum(axis=1)
+    log_total = np.log1p(other)
+    lse = (z_top + log_total)[:, None]
+    q_top = other / total[:, 0]                     # 1 - p_top
+    off = top != targets                            # rows whose top is not the target
+    value = (z_top - zd[rows, targets] + log_total).sum()
     if binary:
-        log_q = np.log(np.clip(1.0 - pd, eps, 1.0 - eps))
-        log_q[rows, targets] = 0.0
-        value -= log_q.sum()
+        e /= total                                  # p, 0 at the top
+        np.negative(e, out=e)
+        np.log1p(e, out=e)                          # log(1 - p)
+        e[rows, targets] = 0.0
+        value -= e.sum() + (np.log(other[off]) - log_total[off]).sum()
     out = Tensor(np.array([[value]]))
 
-    def c_over(x, c):   # c / x inside the clamp, 0 where it bites
-        return np.where((x > eps) & (x < 1.0 - eps), c / np.clip(x, eps, 1.0 - eps), 0.0)
-
     def vjp(g):
-        dp = c_over(1.0 - pd, g[0, 0]) if binary else np.zeros_like(pd)
-        dp[rows, targets] = c_over(pt, -g[0, 0])
-        return (dp,)
+        p = zd - lse
+        np.exp(p, out=p)
+        pt, p_top = p[rows, targets], p[rows, top]
+        if not binary:
+            p[rows, targets] = np.where(off, pt - 1.0, -q_top)
+            p *= g[0, 0]
+            return (p,)
+        # with odds w_i = p_i / (1 - p_i) and W their sum over i != t:
+        # dz_i = p_i (1 - W) + w_i for i != t, and dz_t = p_t (1 - W) - 1
+        w = 1.0 - p
+        w[rows, top] = 1.0                          # the top's odds come from q_top
+        np.divide(p, w, out=w)
+        w[rows, targets] = 0.0
+        w[rows, top] = 0.0
+        rest = w.sum(axis=1)                        # W without the top's odds
+        w_sum = rest + np.divide(p_top, q_top, out=np.zeros_like(rest), where=off)
+        p *= (1.0 - w_sum)[:, None]
+        p += w
+        p[rows, top] = p_top * (2.0 - rest)         # p_top (1 - W) + w_top
+        p[rows, targets] = np.where(off, pt * (1.0 - w_sum) - 1.0,
+                                    -q_top - p_top * rest)
+        p *= g[0, 0]
+        return (p,)
 
-    Tape._record(out, (p,), vjp)
+    Tape._record(out, (z,), vjp)
     return out
 
 

@@ -64,8 +64,7 @@ def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
         else:
             reps = x_v
         l_spl = loss_mod.single_positive_loss(reps, hyper.tau)
-    parts = [loss_mod.cross_entropy_rows(model_mod.predict(scores), targets[positions],
-                                         hyper.ce_form)
+    parts = [loss_mod.cross_entropy_rows(scores, targets[positions], hyper.ce_form)
              for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper)]
     l_ce = T.scale(T.add(*parts), 1.0 / len(examples))
     return loss_mod.total_loss(l_ce, l_spl, hyper.beta)

@@ -165,6 +165,8 @@ def test_criterion_2_gradient_correctness(monkeypatch):
         "add/three_terms": lambda a=r(3, 4), b=r(3, 4), c=r(1, 4): (
             lambda: T.sum_all(T.tanh(T.add(a, b, c))), [a, b, c]),
         "scale": lambda x=r(3, 3): (lambda: T.sum_all(T.tanh(T.scale(x, 1.3))), [x]),
+        "scale/column": lambda x=r(4, 3), c=r(4, 1): (
+            lambda: T.sum_all(T.tanh(T.scale(x, c.data))), [x]),
         "mul": lambda a=r(3, 3), b=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.mul(a, b))), [a, b]),
         "mul/column": lambda x=r(4, 3), c=r(4, 1): (
@@ -173,10 +175,10 @@ def test_criterion_2_gradient_correctness(monkeypatch):
             lambda: T.sum_all(T.tanh(T.mul(x, b))), [x, b]),
         "tanh": lambda x=r(3, 3): (lambda: T.sum_all(T.tanh(x)), [x]),
         "sigmoid": lambda x=r(3, 3): (lambda: T.sum_all(T.sigmoid(x)), [x]),
-        "clamped_cross_entropy/as_printed": lambda p=Tensor(rng.uniform(0.05, 0.95, (3, 4))): (
-            lambda: T.clamped_cross_entropy(p, [0, 3, 3], 1e-12, True), [p]),
-        "clamped_cross_entropy/softmax_ce": lambda p=Tensor(rng.uniform(0.05, 0.95, (3, 4))): (
-            lambda: T.clamped_cross_entropy(p, [2, 0, 1], 1e-12, False), [p]),
+        "softmax_cross_entropy/as_printed": lambda z=r(3, 4): (
+            lambda: T.softmax_cross_entropy(z, np.array([0, 3, 3]), True), [z]),
+        "softmax_cross_entropy/softmax_ce": lambda z=r(3, 4): (
+            lambda: T.softmax_cross_entropy(z, np.array([2, 0, 1]), False), [z]),
         "concat_cols": lambda a=r(3, 2), b=r(3, 3): (
             lambda: T.sum_all(T.tanh(T.concat_cols(a, b))), [a, b]),
         "select_rows": lambda x=r(5, 3): (
@@ -188,8 +190,6 @@ def test_criterion_2_gradient_correctness(monkeypatch):
         "sum_all": lambda x=r(3, 3): (lambda: T.sum_all(x), [x]),
         "transpose": lambda x=r(2, 5): (
             lambda: T.sum_all(T.tanh(T.transpose(x))), [x]),
-        "row_softmax": lambda x=r(4, 5), w=r(4, 5): (
-            lambda: T.sum_all(T.mul(T.row_softmax(x), w)), [x, w]),
         "attention": lambda x=r(7, 3), w=r(3, 3), b=r(1, 3), c=r(7, 3): (
             lambda: T.sum_all(T.mul(T.attention(x, w, b), c)), [x, w, b]),
         "normalize_rows": lambda x=r(4, 3, shift=2.0): (

@@ -392,6 +392,25 @@ def checkpoint(tmp_path_factory, synth_bundle):
     return out / "last.ckpt"
 
 
+
+@pytest.mark.parametrize("value", [float("nan"), 1e200], ids=["nan", "overflow"])
+def test_eval_non_finite_scores_exit_code(tmp_path, synth_bundle, checkpoint, capsys,
+                                          recwarn, value):
+    # no comparison with NaN holds, so NaN scores once ranked every target first
+    # and scored P@K = MRR@K = 1; 1e200 overflows the scores on the way to NaN
+    params, _, hyper, vhash = TR.load_checkpoint(checkpoint)
+    params["item_emb"].data[:] = value
+    broken = tmp_path / "broken.ckpt"
+    TR.save_checkpoint(broken, params, None, hyper, vhash)
+    out = tmp_path / "e.json"
+    assert run("eval", "--checkpoint", str(broken), "--data", str(synth_bundle),
+               "--out", str(out)) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: a score is not finite, so no rank is defined\n"
+    assert runtime_warnings(recwarn) == []
+    assert not out.exists()
+
 # {dir} is an existing directory and {file} an existing file
 @pytest.mark.parametrize("argv,path", [
     ("eval --checkpoint {ckpt} --data {data} --out {dir}", "{dir}"),

@@ -12,6 +12,7 @@ from sessrec.data import TrainExample
 from sessrec.evaluate import (EvalError, evaluate_model, mrr_at_k, popularity_baseline,
                               precision_at_k, ranks, ranks_for_examples, report_from_ranks)
 from sessrec.model import Hyperparams
+from sessrec.optim import NumericError
 from sessrec.tensor import Tape, Tensor
 from conftest import indexed_bundle
 
@@ -142,6 +143,15 @@ def pool_setup(n_examples, n=12, d=5, batch=4):
                              int(rng.integers(0, n))) for _ in range(n_examples)]
     return examples, x_v, params, hyper
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, on the way to NaN
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_scores_are_a_numeric_error(value):
+    # ranks would put every target of a NaN row first
+    examples, x_v, params, hyper = pool_setup(6)
+    x_v.data[3, 0] = value
+    with pytest.raises(NumericError, match="not finite"):
+        ranks_for_examples(examples, x_v, params, hyper)
 
 @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
 def test_pooled_chunks_give_the_inline_ranks_and_report(monkeypatch, tile_pool, chunks):

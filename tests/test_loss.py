@@ -1,3 +1,6 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,101 +20,112 @@ def spl_from_sims(sims, tau):
     return lse - k / tau
 
 
+def reference_ce(z, target, binary):
+    """Value and score gradient of one row's cross-entropy, in 60-digit decimal
+    arithmetic straight from the definition: softmax, log, and for binary the
+    log(1 - p_i) of every other entry; dz_k = p_k (1 - W) + w_k - [k = t],
+    with odds w_i = p_i / (1 - p_i) (w_t = 0) and W = sum_i w_i."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        z = [Decimal(float(v)) for v in z]
+        e = [(v - max(z)).exp() for v in z]
+        p = [v / sum(e) for v in e]
+        value = -p[target].ln()
+        if not binary:
+            return value, [pk - (k == target) for k, pk in enumerate(p)]
+        w = [0 if k == target else pk / (1 - pk) for k, pk in enumerate(p)]
+        value -= sum((1 - pk).ln() for k, pk in enumerate(p) if k != target)
+        return value, [pk * (1 - sum(w)) + w[k] - (k == target) for k, pk in enumerate(p)]
+
+
+def gap_rows(gap):
+    """Scores with targets, one pattern per row: the target on top with every
+    other score at least `gap` below; the target `gap` below the top and the
+    rest between them; the target `gap` below the top and the rest below it."""
+    z = np.array([[0.0, -gap, -gap - 0.5, -gap - 1.25, -gap - 2.0, -gap - 3.0],
+                  [-0.3 * gap, -gap, -0.6 * gap, 0.0, -0.9 * gap, -0.5 * gap],
+                  [-gap - 1.0, -gap, 0.0, -gap - 2.0, -gap - 0.5, -gap - 3.0]]) + 1.5
+    return z, np.array([0, 1, 1])
+
+
 class TestCrossEntropy:
+    # the scores are the logs of probability rows, whose softmax is that row
     def test_as_printed_hand_value(self):
-        y = Tensor([[0.25, 0.25, 0.5]])
-        got = L.cross_entropy_rows(y, [2], form="as_printed").item()
+        z = Tensor(np.log([[0.25, 0.25, 0.5]]))
+        got = L.cross_entropy_rows(z, [2], form="as_printed").item()
         want = -(np.log(0.5) + 2 * np.log(0.75))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(1.2685, abs=1e-4)
 
     def test_softmax_ce_hand_value(self):
-        y = Tensor([[0.25, 0.25, 0.5]])
-        got = L.cross_entropy_rows(y, [2], form="softmax_ce").item()
+        z = Tensor(np.log([[0.25, 0.25, 0.5]]))
+        got = L.cross_entropy_rows(z, [2], form="softmax_ce").item()
         assert got == pytest.approx(-np.log(0.5), abs=1e-12)
 
     def test_one_hot_prediction_is_zero(self):
-        y = Tensor([[0.0, 1.0, 0.0]])
+        z = Tensor([[-np.inf, 0.0, -np.inf]])   # the log of [0, 1, 0]
         for form in ("as_printed", "softmax_ce"):
-            assert L.cross_entropy_rows(y, [1], form=form).item() <= 1e-9
+            assert L.cross_entropy_rows(z, [1], form=form).item() == 0.0
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
             L.cross_entropy_rows(Tensor([[0.5, 0.5]]), [2])
 
-    def test_gradients(self, rng):
-        probs = rng.dirichlet(np.ones(5), size=3)
-        x = Tensor(probs)
-        for form in ("as_printed", "softmax_ce"):
-            err = grad_check(lambda: L.cross_entropy_rows(x, [1, 0, 4], form), [x])
-            assert err < 1e-5
-
-
-def clamp_log_chain(p, targets, form, c):
-    """Value and probability gradient of c * cross-entropy as the chain of
-    generic primitives computed it before the fused primitive: clamp, log, a
-    product with a dense one-hot matrix and a full sum, per term. Dense numpy,
-    each backward step in that chain's own operation order."""
-    eps = L.PROB_EPS
-    g, n = p.shape
-    onehot = np.zeros((g, n))
-    onehot[np.arange(g), targets] = 1.0
-    cp = np.clip(p, eps, 1.0 - eps)
-    pos = (np.log(cp) * onehot).sum()
-    d_pos = ((np.full((g, n), -c) * onehot) / cp) * ((p > eps) & (p < 1.0 - eps))
-    if form == "softmax_ce":
-        return -pos, d_pos
-    q = -1.0 * p + 1.0
-    cq = np.clip(q, eps, 1.0 - eps)
-    neg = (np.log(cq) * (1.0 - onehot)).sum()
-    d_neg = ((np.full((g, n), -c) * (1.0 - onehot)) / cq) * ((q > eps) & (q < 1.0 - eps))
-    return -(pos + neg), d_neg * -1.0 + d_pos
-
-
-class TestFusedCrossEntropy:
-    # row 0: target below the clamp; row 1: a non-target above 1 - eps;
-    # row 2: target above 1 - eps and a non-target at exactly 0;
-    # row 3: a target exactly 1; row 4: target and a non-target exactly at eps,
-    # where the clamp's open interval already bites; rows 5-6: softmax rows
-    @staticmethod
-    def probs():
-        rng = np.random.default_rng(3)
-        p = rng.dirichlet(np.ones(6), size=7)
-        p[0] = [1e-14, 0.5, 0.25, 0.25 - 1e-14, 0.0, 0.0]
-        p[1] = [1e-13, 1.0 - 1e-13, 0.0, 0.0, 0.0, 0.0]
-        p[2] = [0.0, 0.0, 1.0 - 1e-13, 1e-13, 0.0, 0.0]
-        p[3] = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-        p[4] = [0.5, 1e-12, 1e-12, 0.25, 0.25 - 2e-12, 0.0]
-        return p, np.array([0, 0, 2, 3, 1, 5, 1])
-
-    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
-    @pytest.mark.parametrize("c", [1.0, 0.01])
-    def test_vjp_matches_clamp_log_chain_bit_for_bit(self, form, c):
-        p, targets = self.probs()
-        x = Tensor(p)
-        with T.Tape() as tape:
-            out = L.cross_entropy_rows(x, targets, form)
-            tape.backward(T.scale(out, c))
-        value, grad = clamp_log_chain(p, targets, form, c)
-        # equal floats have equal bits, apart from the sign of a zero
-        assert np.array_equal(x.grad, grad)
-        assert (grad[[0, 2, 3, 4], [0, 2, 3, 1]] == 0.0).all()   # the clamp bites
-        if form == "as_printed":
-            assert grad[1, 1] == 0.0 and grad[2, 0] == 0.0 and grad[4, 2] == 0.0
-        # the sums add the same terms in another order
-        assert out.item() == pytest.approx(value, rel=1e-14)
-
-    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
-    def test_one_tape_record(self, form):
-        p, targets = self.probs()
-        with T.Tape() as tape:
-            L.cross_entropy_rows(Tensor(p), targets, form)
-        assert len(tape.records) == 1
-
     def test_unknown_form(self):
         with pytest.raises(ValueError, match="ce_form"):
             L.cross_entropy_rows(Tensor([[0.5, 0.5]]), [0], "hinge")
 
+    def test_gradients(self, rng):
+        z = Tensor(np.log(rng.dirichlet(np.ones(5), size=3)))
+        for form in ("as_printed", "softmax_ce"):
+            err = grad_check(lambda: L.cross_entropy_rows(z, [1, 0, 4], form), [z])
+            assert err < 1e-5
+
+    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
+    def test_one_tape_record(self, form):
+        z, targets = gap_rows(3.0)
+        with T.Tape() as tape:
+            L.cross_entropy_rows(Tensor(z), targets, form)
+        assert len(tape.records) == 1
+
+    @pytest.mark.parametrize("gap", [0.0, 10.0, 30.0, 40.0, 60.0])
+    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
+    def test_matches_decimal_reference(self, form, gap):
+        z, targets = gap_rows(gap)
+        x = Tensor(z)
+        with T.Tape() as tape:
+            out = L.cross_entropy_rows(x, targets, form)
+            tape.backward(T.scale(out, 0.5))
+        refs = [reference_ce(row, t, form == "as_printed") for row, t in zip(z, targets)]
+        want = sum(value for value, _ in refs)
+        assert out.item() == pytest.approx(float(want), rel=1e-14, abs=1e-300)
+        want_grad = np.array([[float(v / 2) for v in grad] for _, grad in refs])
+        np.testing.assert_allclose(x.grad, want_grad, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("gap", [30.0, 40.0, 60.0])
+    @pytest.mark.parametrize("form", ["as_printed", "softmax_ce"])
+    def test_trailing_target_is_pushed_up(self, form, gap):
+        # a clamp of the target's probability to 1e-12 once capped this loss at
+        # 27.63 with a zero gradient from a gap of about 28 on
+        z = Tensor([[0.0, -gap]])
+        with T.Tape() as tape:
+            out = L.cross_entropy_rows(z, [1], form)
+            tape.backward(out)
+        assert out.item() >= gap
+        assert z.grad[0, 1] < -0.99 and z.grad[0, 0] > 0.99
+
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_past_the_underflow(self):
+        # 800 below the top, exp underflows to 0: -log p_t stays exact, while
+        # 1 - p_top is 0 and the binary loss is infinite rather than capped
+        z = Tensor([[0.0, -800.0]])
+        with T.Tape() as tape:
+            out = L.cross_entropy_rows(z, [1], "softmax_ce")
+            tape.backward(out)
+        assert out.item() == 800.0
+        np.testing.assert_array_equal(z.grad, [[1.0, -1.0]])
+        assert L.cross_entropy_rows(z, [1], "as_printed").item() == np.inf
 
 class TestSinglePositiveLoss:
     def test_single_row_is_zero(self, rng):

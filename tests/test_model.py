@@ -212,6 +212,18 @@ class TestSessionAttention:
                                        atol=1e-12)
 
 
+    def test_records_no_constant_input(self, rng):
+        # the 1/length column of the means scales the sums as a constant, so
+        # backward takes no gradient for it
+        _, _, hyper, params = make_setup(d=4)
+        xstar = Tensor(rng.standard_normal((6, 4)))
+        with Tape() as tape:
+            M.session_attention(xstar, np.array([1, 2, 3]), params)
+        known = {id(xstar)} | {id(p) for _, p in params.items()}
+        for out, inputs, _ in tape.records:
+            assert all(id(t) in known for t in inputs)
+            known.add(id(out))
+
 class TestScorePredict:
     def test_dot_products(self):
         # items (2, 3) and (0, 5), passed as the d x n transposed table
@@ -226,6 +238,14 @@ class TestScorePredict:
     def test_hand_softmax(self):
         y = M.predict(Tensor([[np.log(2.0), 0.0]]))
         np.testing.assert_allclose(y.data, [[2 / 3, 1 / 3]], atol=1e-12)
+
+    def test_softmax_bytes_and_no_record(self, rng):
+        z = rng.standard_normal((4, 7)) * 5
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        with Tape() as tape:
+            y = M.predict(Tensor(z))
+        assert np.array_equal(y.data, e / e.sum(axis=1, keepdims=True))
+        assert tape.records == []
 
 
 @pytest.mark.parametrize("name", ["tau", "beta", "lr", "l2"])

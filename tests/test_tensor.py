@@ -79,16 +79,21 @@ def test_graph_conv_rejects_operands_that_do_not_chain():
 def test_elementwise_trivials():
     np.testing.assert_allclose(T.tanh(Tensor([[0.0]])).data, [[0.0]])
     np.testing.assert_allclose(T.sigmoid(Tensor([[0.0]])).data, [[0.5]])
-    np.testing.assert_allclose(T.row_softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
 
 def test_row_softmax_rows_sum_to_one_and_shift_invariant():
+    # the row softmax model.predict takes from _exp_rows_
+    def softmax(x):
+        e = x.copy()
+        lse, total = T._exp_rows_(e)
+        np.testing.assert_allclose(lse, np.log(np.exp(x).sum(axis=1, keepdims=True)))
+        return e / total
+
     rng = np.random.default_rng(3)
     x = rng.standard_normal((6, 9)) * 10
-    s = T.row_softmax(Tensor(x))
-    np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
-    shifted = T.row_softmax(Tensor(x + 123.0))
-    np.testing.assert_allclose(s.data, shifted.data, atol=1e-12)
+    s = softmax(x)
+    np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(s, softmax(x + 123.0), atol=1e-12)
 
 
 def test_gram_logsumexp_orthogonal_rows():
@@ -214,6 +219,31 @@ def test_attention_record_holds_only_its_log_normaliser():
     assert T.tape_census(tape) == (1, n * d * 8, n * 8)
 
 
+@pytest.mark.parametrize("binary", [True, False], ids=["as_printed", "softmax_ce"])
+def test_softmax_cross_entropy_record_holds_row_vectors_only(binary):
+    # besides its input, the record keeps g-vectors, never a g x n array
+    g, n = 4, 50
+    z = rand(np.random.default_rng(13), g, n)
+    with Tape() as tape:
+        T.softmax_cross_entropy(z, np.arange(g), binary)
+    assert T.tape_census(tape)[:2] == (1, 8)
+    ((_, inputs, vjp),) = tape.records
+    held = [c.cell_contents for c in vjp.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert inputs == (z,) and any(a is z.data for a in held)
+    assert all(a is z.data or a.size == g for a in held)
+
+
+def test_scale_by_an_array_records_x_alone():
+    x, c = Tensor(np.ones((3, 2))), np.array([[1.0], [2.0], [4.0]])
+    with Tape() as tape:
+        out = T.scale(x, c)
+    np.testing.assert_array_equal(out.data, [[1.0, 1.0], [2.0, 2.0], [4.0, 4.0]])
+    assert [inputs for _, inputs, _ in tape.records] == [(x,)]
+    with pytest.raises(ShapeError, match="scale"):
+        T.scale(x, np.ones((2, 1)))
+
+
 def test_add_sums_terms_left_to_right_with_broadcast():
     x = Tensor([[1.0, 2.0], [3.0, 4.0]])
     out = T.add(x, Tensor([[10.0, 20.0]]), Tensor([[100.0], [200.0]]), Tensor([[0.5]]))
@@ -312,8 +342,8 @@ def test_repeat_counts_that_do_not_match_the_rows(lengths):
 def test_forward_determinism():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 4))
-    a = T.row_softmax(T.matmul(Tensor(x), Tensor(x))).data
-    b = T.row_softmax(T.matmul(Tensor(x), Tensor(x))).data
+    a = T.softmax_cross_entropy(T.matmul(Tensor(x), Tensor(x)), np.arange(4), True).data
+    b = T.softmax_cross_entropy(T.matmul(Tensor(x), Tensor(x)), np.arange(4), True).data
     assert np.array_equal(a, b)
 
 
@@ -352,6 +382,11 @@ class TestPrimitiveGradients:
         x = rand(self.rng, 2, 3)
         _check(lambda: T.sum_all(T.tanh(T.add(T.scale(x, 1.7), Tensor([[0.3]])))), [x])
 
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 3), (4, 3)])
+    def test_scale_by_array(self, shape):
+        x, c = rand(self.rng, 4, 3), self.rng.standard_normal(shape)
+        _check(lambda: T.sum_all(T.tanh(T.scale(x, c))), [x])
+
     def test_mul(self):
         a, b = rand(self.rng, 3, 3), rand(self.rng, 3, 3)
         _check(lambda: T.sum_all(T.tanh(T.mul(a, b))), [a, b])
@@ -386,17 +421,11 @@ class TestPrimitiveGradients:
         _check(lambda: T.sum_all(T.tanh(T.transpose(x))), [x])
 
     @pytest.mark.parametrize("binary", [True, False], ids=["as_printed", "softmax_ce"])
-    def test_clamped_cross_entropy(self, binary):
-        # probabilities away from the clamp; the scale gives the primitive an
-        # incoming gradient other than 1
-        p = Tensor(self.rng.uniform(0.05, 0.95, (3, 5)))
-        _check(lambda: T.scale(T.clamped_cross_entropy(p, [1, 0, 4], 1e-12, binary), 0.7),
-               [p])
-
-    def test_row_softmax(self):
-        x = rand(self.rng, 4, 5)
-        w = rand(self.rng, 4, 5)
-        _check(lambda: T.sum_all(T.mul(T.row_softmax(x), w)), [x, w])
+    def test_softmax_cross_entropy(self, binary):
+        # the scale gives the primitive an incoming gradient other than 1
+        z = Tensor(3.0 * self.rng.standard_normal((3, 5)))
+        _check(lambda: T.scale(T.softmax_cross_entropy(z, np.array([1, 0, 4]), binary), 0.7),
+               [z])
 
     def test_attention(self, small_tiles):
         x, w, b = rand(self.rng, 7, 3), rand(self.rng, 3, 3), rand(self.rng, 1, 3)

@@ -108,11 +108,12 @@ class TestTapeSize:
 
     def test_one_step_at_2k_items(self, large_bundle):
         # the first 100 training examples of the 2k-item synth bundle span
-        # many prefix lengths; the step is one encoder chain of 18 records
+        # many prefix lengths; the step is one encoder chain of 18 records,
+        # the last its score matmul, and one cross-entropy record after it
         batch = large_bundle.train[:100]
         assert len({len(ex.prefix) for ex in batch}) > 1
         hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
-        assert self._records(large_bundle, batch, hyper) == 34
+        assert self._records(large_bundle, batch, hyper) == 33
 
     @staticmethod
     def _step_peak(bundle):
