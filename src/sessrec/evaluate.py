@@ -35,9 +35,10 @@ def ranks(scores, targets) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.intp)
     st = s[np.arange(s.shape[0]), targets][:, None]
-    out = 1 + (s > st).sum(axis=1)
+    # an int32 sum of the comparisons runs about twice as fast as the default int64
+    out = 1 + (s > st).sum(axis=1, dtype=np.int32)
     # only rows whose target ties with another score need the index order
-    tied = np.flatnonzero((s == st).sum(axis=1) > 1)
+    tied = np.flatnonzero((s == st).sum(axis=1, dtype=np.int32) > 1)
     before = np.arange(s.shape[1]) < targets[tied, None]
     out[tied] += ((s[tied] == st[tied]) & before).sum(axis=1)
     return out
@@ -67,15 +68,21 @@ def report_from_ranks(ranks, ks) -> EvalReport:
 
 def ranks_for_examples(examples, x_v, params, hyper) -> np.ndarray:
     """Target ranks for a list of (prefix, target) examples; forward-only.
-    Raises NumericError on a score that is not finite: no comparison with NaN
-    holds, so ranks would put every such target first."""
+    Each chunk is ranked on the thread that scored it, and only its ranks come
+    back. Raises NumericError on a score that is not finite: no comparison
+    with NaN holds, so ranks would put every such target first."""
     prefixes = [ex.prefix for ex in examples]
     targets = np.array([ex.target for ex in examples], dtype=np.intp)
-    out = np.zeros(len(examples), dtype=np.int64)
-    for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper):
+
+    def rank_chunk(positions, scores):
         if not np.isfinite(scores.data).all():
             raise NumericError("a score is not finite, so no rank is defined")
-        out[positions] = ranks(scores.data, targets[positions])
+        return ranks(scores.data, targets[positions])
+
+    out = np.zeros(len(examples), dtype=np.int64)
+    for positions, chunk_ranks in model_mod.forward_groups(prefixes, x_v, params, hyper,
+                                                           rank_chunk):
+        out[positions] = chunk_ranks
     return out
 
 

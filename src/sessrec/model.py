@@ -141,22 +141,35 @@ def propagate(x0: Tensor, anorm, params: ModelParams, num_layers: int,
     return T.scale(T.add(*snapshots), 1.0 / (num_layers + 1))
 
 
-def encode_session(items: np.ndarray, lengths: np.ndarray, x_v: Tensor,
-                   params: ModelParams, use_reverse_pos: bool = True) -> Tensor:
-    """Per-item tanh(W1 [x_t || p_{m-t+1}] + b1) for sessions laid end to end.
+def project_items(x_v: Tensor, params: ModelParams, use_reverse_pos: bool = True):
+    """The item table and the position table through their halves of W1:
+    X_v W1[:d] (n x d) and P W1[d:] (max_session_len x d, None without reverse
+    positions). Each item is projected once per call, however often sessions
+    hold it; W1 stays one 2d x d parameter."""
+    d = x_v.shape[1]
+    w1 = params["w1"]
+    xw = T.matmul(x_v, T.select_rows(w1, np.arange(d)))
+    if not use_reverse_pos:
+        return xw, None
+    return xw, T.matmul(params["pos_emb"], T.select_rows(w1, np.arange(d, 2 * d)))
+
+
+def encode_session(items: np.ndarray, lengths: np.ndarray, xw: Tensor, pw: Tensor | None,
+                   params: ModelParams) -> Tensor:
+    """Per-item tanh(W1 [x_t || p_{m-t+1}] + b1) for sessions laid end to end,
+    taken as tanh(xw[x_t] + pw[m-t] + b1) from the tables of project_items
+    (no position term when pw is None).
 
     items holds every session's items back to back, lengths[s] of them for
     session s; returns len(items) x d, in which each session's last item gets p_1.
     """
-    if items.size and (items.min() < 0 or items.max() >= x_v.shape[0]):
+    if items.size and (items.min() < 0 or items.max() >= xw.shape[0]):
         raise ValueError("item index outside vocabulary (closure violated)")
-    x = T.select_rows(x_v, items)
-    if use_reverse_pos:
+    terms = [T.select_rows(xw, items)]
+    if pw is not None:
         reverse = np.repeat(np.cumsum(lengths), lengths) - 1 - np.arange(items.size)
-        pos = T.select_rows(params["pos_emb"], reverse)
-    else:
-        pos = Tensor(np.zeros((items.size, x_v.shape[1])))
-    return T.tanh(T.add(T.matmul(T.concat_cols(x, pos), params["w1"]), params["b1"]))
+        terms.append(T.select_rows(pw, reverse))
+    return T.tanh(T.add(*terms, params["b1"]))
 
 
 def session_attention(xstar: Tensor, lengths: np.ndarray, params: ModelParams) -> Tensor:
@@ -190,25 +203,31 @@ def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams)
     return predict(scores)
 
 
-def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparams):
+def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparams,
+                   per_chunk=None):
     """Batched forward pass over many sessions at once.
 
     Each prefix keeps its last max_session_len items. Yields (positions, scores
     Tensor g x n) for each run of at most batch_size consecutive prefixes, encoded
     as one ragged batch; positions is the slice of `prefixes` the rows stand for.
+    With per_chunk, each run yields (positions, per_chunk(positions, scores))
+    instead, taken on the thread that scored the run, so the scores need not
+    outlive it (evaluation keeps only the ranks).
     With no tape recording, the runs go through tensor._tile_map, which may
     compute several at once on the kernels' threads (evaluation does); they are
     yielded in order and hold the same bytes whichever thread computed them.
     """
-    x_vt = T.transpose(x_v)
+    x_vt = T.transpose(x_v)   # a view: no d x n copy
+    xw, pw = project_items(x_v, params, hyper.use_reverse_pos)
     prefixes = [tuple(p)[-hyper.max_session_len:] for p in prefixes]
 
     def encode_and_score(positions):
         chunk = prefixes[positions]
         lengths = np.array([len(p) for p in chunk], dtype=np.intp)
         items = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=lengths.sum())
-        xstar = encode_session(items, lengths, x_v, params, hyper.use_reverse_pos)
-        return positions, score(session_attention(xstar, lengths, params), x_vt)
+        xstar = encode_session(items, lengths, xw, pw, params)
+        scores = score(session_attention(xstar, lengths, params), x_vt)
+        return positions, scores if per_chunk is None else per_chunk(positions, scores)
 
     chunks = [slice(start, min(start + hyper.batch_size, len(prefixes)))
               for start in range(0, len(prefixes), hyper.batch_size)]

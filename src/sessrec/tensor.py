@@ -118,14 +118,15 @@ class Tape:
 
 class TapeCensus(NamedTuple):
     records: int
-    output_bytes: int    # the records' output arrays
+    output_bytes: int    # the records' output arrays, but views of their inputs
     closure_bytes: int   # arrays only the VJP closures hold, each counted once
 
 
 def tape_census(tape: Tape) -> TapeCensus:
     """What the tape's records keep alive: their count, the bytes of their
-    outputs, and the bytes of the ndarrays their VJP closures hold that are
-    neither a record output nor the data of a record input."""
+    outputs that are not views of their own inputs (transpose's output holds
+    no memory), and the bytes of the ndarrays their VJP closures hold that
+    are neither a record output nor the data of a record input."""
     outputs = {id(out.data) for out, _, _ in tape.records}
     inputs = {id(t.data) for _, ins, _ in tape.records for t in ins}
     held: dict[int, int] = {}
@@ -136,7 +137,8 @@ def tape_census(tape: Tape) -> TapeCensus:
                     and id(value) not in inputs):
                 held[id(value)] = value.nbytes
     return TapeCensus(len(tape.records),
-                      sum(out.data.nbytes for out, _, _ in tape.records),
+                      sum(out.data.nbytes for out, ins, _ in tape.records
+                          if not any(np.may_share_memory(out.data, t.data) for t in ins)),
                       sum(held.values()))
 
 
@@ -229,8 +231,14 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    e = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + e) where x >= 0, else e / (1 + e), with e = exp(-|x|) so that
+    no exponential overflows; one division serves both branches."""
+    e = np.abs(x.data)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.where(x.data >= 0, 1.0, e)
+    e += 1.0
+    y /= e
     out = Tensor(y)
     Tape._record(out, (x,), lambda g: (g * y * (1.0 - y),))
     return out
@@ -300,7 +308,9 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = Tensor(x.data.T.copy())
+    """x^T as a view of x's data, not a copy: a product with it reads x's rows
+    in place (BLAS takes the transposed layout as a flag)."""
+    out = Tensor(x.data.T)
     Tape._record(out, (x,), lambda g: (g.T,))
     return out
 
@@ -401,7 +411,8 @@ def softmax_cross_entropy(z: Tensor, targets, binary: bool) -> Tensor:
 # The tiles are independent, so _tile_map runs them on up to WORKERS threads
 # (FlashAttention-2, Dao 2023); numpy releases the GIL inside BLAS calls and
 # large ufuncs. It takes any list of row slices: model.forward_groups hands it
-# its chunks of prefixes the same way when no tape records, as in evaluation.
+# its chunks of prefixes the same way when no tape records, as in evaluation,
+# where each chunk is encoded, scored and ranked on one thread.
 # The calling thread is one of them: each extra thread keeps its own malloc
 # arena, which holds on to the tiles it freed and adds to peak memory. Tile
 # boundaries depend on n alone, tiles write disjoint rows, and the calling

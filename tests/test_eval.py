@@ -1,13 +1,16 @@
 import json
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sessrec import evaluate as E
 from sessrec import model as M
 from sessrec import tensor as T
+from sessrec.cli import EXIT_NUMERIC, EXIT_OK, main
 from sessrec.data import TrainExample
 from sessrec.evaluate import (EvalError, evaluate_model, mrr_at_k, popularity_baseline,
                               precision_at_k, ranks, ranks_for_examples, report_from_ranks)
@@ -228,3 +231,55 @@ def test_pooled_chunks_stress_more_workers_than_cores(monkeypatch, tile_pool):
     finally:
         sys.setswitchinterval(interval)
     assert len(tile_pool) == 5 * 2 * (13 - 3)   # 3 chunks of 6 start on the calling thread
+
+
+def test_chunks_are_ranked_on_the_threads_that_score_them(monkeypatch, tile_pool):
+    # with 2 workers both threads rank, and the ranks and report keep the
+    # bytes of one worker ranking every chunk in turn
+    examples, x_v, params, hyper = pool_setup(23)
+    got = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(T, "WORKERS", workers)
+        threads = set()
+
+        def ranks_noting_thread(scores, targets):
+            threads.add(threading.get_ident())
+            return ranks(scores, targets)
+
+        monkeypatch.setattr(E, "ranks", ranks_noting_thread)
+        got[workers] = (ranks_for_examples(examples, x_v, params, hyper).tobytes(),
+                        json.dumps(evaluate_model(examples, x_v, params, hyper).to_dict(),
+                                   sort_keys=True))
+        # each pass starts its own pool thread, so two passes may note three
+        assert len(threads) >= 2 if workers == 2 else len(threads) == 1
+    assert tile_pool
+    assert got[2] == got[1]
+
+
+def test_numeric_error_in_a_pooled_chunk_exits_eval_with_code_5(tmp_path, monkeypatch,
+                                                                 tile_pool, capsys):
+    # only the chunks a pool thread scores turn NaN; the error reaches the
+    # command as exit 5 and every pool thread has been joined
+    bundle, run_dir = tmp_path / "bundle.json", tmp_path / "run"
+    assert main(["synth", "--out", str(bundle), "--n-items", "30", "--sessions", "60",
+                 "--chains", "3", "--chain-len", "6", "--seed", "5"]) == EXIT_OK
+    assert main(["train", "--data", str(bundle), "--out", str(run_dir), "--d", "4",
+                 "--layers", "1", "--epochs", "0", "--batch", "4"]) == EXIT_OK
+    capsys.readouterr()
+    score = M.score
+
+    def nan_on_pool_threads(theta, x_v):
+        z = score(theta, x_v)
+        if threading.current_thread().name.startswith("sessrec-tile"):
+            z.data[:] = np.nan
+        return z
+
+    monkeypatch.setattr(M, "score", nan_on_pool_threads)
+    out = tmp_path / "e.json"
+    assert main(["eval", "--checkpoint", str(run_dir / "last.ckpt"), "--data", str(bundle),
+                 "--out", str(out)]) == EXIT_NUMERIC
+    assert tile_pool
+    assert capsys.readouterr().err == ("numeric error: a score is not finite, "
+                                       "so no rank is defined\n")
+    assert not out.exists()
+    assert not [t for t in threading.enumerate() if t.name.startswith("sessrec-tile")]

@@ -40,8 +40,9 @@ def oracle_forward(items, x_v, params, use_reverse_pos=True):
 
 def encode_one(items, x_v, params):
     """encode_session on a batch holding the single session `items`."""
+    xw, pw = M.project_items(x_v, params)
     return M.encode_session(np.array(items, dtype=np.intp), np.array([len(items)]),
-                            x_v, params)
+                            xw, pw, params)
 
 
 def oracle_propagate(x0, anorm_dense, params, layers, use_attention=True):
@@ -170,6 +171,25 @@ class TestEncodeSession:
         _, _, hyper, params = make_setup(n=4)
         with pytest.raises(ValueError, match="closure"):
             encode_one([99], Tensor(params["item_emb"].data), params)
+
+    @pytest.mark.parametrize("use_reverse_pos", [True, False])
+    def test_split_w1_matches_the_concatenated_product(self, rng, use_reverse_pos):
+        # xw[x_t] + pw[m-t] + b1 from the two halves of W1 is [x_t || p] W1 + b1
+        # summed in another order: sessions of 1, 4 and 2 items, weights far
+        # from zero, every pre-activation kept well away from tanh's flat tails
+        _, _, hyper, params = make_setup(n=7, d=5)
+        for name in ("item_emb", "pos_emb", "w1", "b1"):
+            params.tensors[name] = Tensor(0.4 * rng.standard_normal(params[name].shape))
+        x_v = params["item_emb"]
+        items, lengths = np.array([3, 0, 6, 2, 6, 1, 5]), np.array([1, 4, 2])
+        xw, pw = M.project_items(x_v, params, use_reverse_pos)
+        assert (pw is None) == (not use_reverse_pos)
+        out = M.encode_session(items, lengths, xw, pw, params)
+        reverse = [0, 3, 2, 1, 0, 1, 0]
+        pos = params["pos_emb"].data[reverse] if use_reverse_pos else np.zeros((7, 5))
+        want = np.tanh(np.hstack([x_v.data[items], pos]) @ params["w1"].data
+                       + params["b1"].data)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
 
     def test_long_session_keeps_most_recent(self):
         items = [5, 4, 3, 2, 1, 0, 0, 1, 2, 3]   # first and last four differ
@@ -372,7 +392,9 @@ def test_batched_forward_matches_per_session():
 
 
 def test_forward_groups_transposes_item_table_once():
-    # every chunk scores against the same d x n transposed table
+    # every chunk scores against the same d x n transposed table, a view of
+    # the n x d table, not a copy; the only other record that reads the table
+    # projects it through W1's item half, once per call
     _, _, hyper, params = make_setup(n=6, d=4, batch_size=2)
     x_v = Tensor(np.random.default_rng(2).standard_normal((6, 4)))
     with Tape() as tape:
@@ -381,6 +403,8 @@ def test_forward_groups_transposes_item_table_once():
     transposes = [out for out, inputs, _ in tape.records
                   if inputs == (x_v,) and out.shape == (4, 6)]
     assert len(transposes) == 1
+    assert np.shares_memory(transposes[0].data, x_v.data)
+    assert [out.shape for out, inputs, _ in tape.records if x_v in inputs] == [(4, 6), (6, 4)]
 
 
 def test_forward_groups_chunks_follow_batch_size():

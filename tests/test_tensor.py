@@ -81,6 +81,24 @@ def test_elementwise_trivials():
     np.testing.assert_allclose(T.sigmoid(Tensor([[0.0]])).data, [[0.5]])
 
 
+def test_sigmoid_bytes_match_the_three_way_formula():
+    # one division over where(x >= 0, 1, e) gives the bytes of
+    # where(x >= 0, 1 / (1 + e), e / (1 + e)), e = exp(-|x|): at both zeros,
+    # past exp's underflow, at the infinities and in the tails
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0, -0.0, 800.0, -800.0, 745.0, -745.0, 709.0, -709.0,
+                         37.0, -37.0, 1e-300, -1e-300, np.inf, -np.inf],
+                        10.0 * rng.standard_normal(3000), rng.uniform(-750.0, 750.0, 3000)])
+    x = x.reshape(1, -1)
+    before = x.copy()
+    e = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = T.sigmoid(Tensor(x)).data
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before.tobytes()
+    assert got[0, :4].tolist() == [0.5, 0.5, 1.0, 0.0]
+
+
 def test_row_softmax_rows_sum_to_one_and_shift_invariant():
     # the row softmax model.predict takes from _exp_rows_
     def softmax(x):
@@ -200,6 +218,14 @@ def test_tape_census_counts_closure_arrays_once():
     tape.records += [(out1, (a,), vjp1), (out2, (out1,), vjp2)]
     assert T.tape_census(tape) == (2, 4 * 5 * 8 + 8, 7 * 8 + 2 * 2 * 8)
     assert T.tape_census(Tape()) == (0, 0, 0)
+
+
+def test_transpose_is_a_view_and_holds_no_bytes():
+    x = rand(np.random.default_rng(16), 3, 5)
+    with Tape() as tape:
+        xt = T.transpose(x)
+    assert np.shares_memory(xt.data, x.data)
+    assert T.tape_census(tape) == (1, 0, 0)
 
 
 def test_gram_logsumexp_record_holds_its_gradient():
