@@ -203,13 +203,26 @@ def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams)
     return predict(scores)
 
 
+def chunk_rows(n: int, hyper: Hyperparams) -> int:
+    """Sessions per forward_groups chunk over n items: batch_size under a
+    recording tape, else half the rows of one attention row tile,
+    max(1, min(n, TILE_ENTRIES // n) // 2), so that a chunk's scores take at
+    most half a tile."""
+    if T.Tape._stack:
+        return hyper.batch_size
+    return max(1, min(n, T.TILE_ENTRIES // max(n, 1)) // 2)
+
+
 def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparams,
                    per_chunk=None):
     """Batched forward pass over many sessions at once.
 
-    Each prefix keeps its last max_session_len items. Yields (positions, scores
-    Tensor g x n) for each run of at most batch_size consecutive prefixes, encoded
-    as one ragged batch; positions is the slice of `prefixes` the rows stand for.
+    Each prefix keeps its last max_session_len items; the calling thread lays
+    them end to end once, with their lengths, and each run takes a slice of
+    both. Yields (positions, scores Tensor g x n) for each run of
+    chunk_rows(n, hyper) consecutive prefixes (batch_size under a tape, else a
+    count set by the n items alone; the last run may be shorter), encoded as
+    one ragged batch; positions is the slice of `prefixes` the rows stand for.
     With per_chunk, each run yields (positions, per_chunk(positions, scores))
     instead, taken on the thread that scored the run, so the scores need not
     outlive it (evaluation keeps only the ranks).
@@ -219,18 +232,21 @@ def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparam
     """
     x_vt = T.transpose(x_v)   # a view: no d x n copy
     xw, pw = project_items(x_v, params, hyper.use_reverse_pos)
-    prefixes = [tuple(p)[-hyper.max_session_len:] for p in prefixes]
+    kept = [tuple(p)[-hyper.max_session_len:] for p in prefixes]
+    lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
+    items = np.fromiter(chain.from_iterable(kept), dtype=np.intp, count=lengths.sum())
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
 
     def encode_and_score(positions):
-        chunk = prefixes[positions]
-        lengths = np.array([len(p) for p in chunk], dtype=np.intp)
-        items = np.fromiter(chain.from_iterable(chunk), dtype=np.intp, count=lengths.sum())
-        xstar = encode_session(items, lengths, xw, pw, params)
-        scores = score(session_attention(xstar, lengths, params), x_vt)
+        chunk_lengths = lengths[positions]
+        chunk_items = items[offsets[positions.start]:offsets[positions.stop]]
+        xstar = encode_session(chunk_items, chunk_lengths, xw, pw, params)
+        scores = score(session_attention(xstar, chunk_lengths, params), x_vt)
         return positions, scores if per_chunk is None else per_chunk(positions, scores)
 
-    chunks = [slice(start, min(start + hyper.batch_size, len(prefixes)))
-              for start in range(0, len(prefixes), hyper.batch_size)]
+    rows = chunk_rows(x_v.shape[0], hyper)
+    chunks = [slice(start, min(start + rows, len(kept)))
+              for start in range(0, len(kept), rows)]
     # under a tape the chunks stay inline: records from several threads would
     # land in timing order, and backward would sum their gradients in that order
     yield from (map(encode_and_score, chunks) if T.Tape._stack

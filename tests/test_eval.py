@@ -136,7 +136,8 @@ class TestPopularityBaseline:
 
 def pool_setup(n_examples, n=12, d=5, batch=4):
     """Random examples, some with prefixes longer than max_session_len, an
-    item table and a model whose forward_groups cuts chunks of `batch`."""
+    item table and a model whose forward_groups cuts chunks of `batch` under
+    a tape."""
     rng = np.random.default_rng(21)
     hyper = Hyperparams(d=d, num_layers=1, batch_size=batch, max_session_len=4,
                         seed=2).validate()
@@ -145,6 +146,13 @@ def pool_setup(n_examples, n=12, d=5, batch=4):
     examples = [TrainExample(tuple(int(i) for i in rng.integers(0, n, size=rng.integers(1, 7))),
                              int(rng.integers(0, n))) for _ in range(n_examples)]
     return examples, x_v, params, hyper
+
+
+def chunk_budget(monkeypatch, rows, n=12):
+    """Set the tile budget so that, with no tape recording, forward_groups cuts
+    chunks of `rows` prefixes over n items: min(n, TILE_ENTRIES // n) // 2 = rows
+    for rows up to n // 2."""
+    monkeypatch.setattr(T, "TILE_ENTRIES", 2 * rows * n)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's, on the way to NaN
@@ -159,6 +167,7 @@ def test_non_finite_scores_are_a_numeric_error(value):
 @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
 def test_pooled_chunks_give_the_inline_ranks_and_report(monkeypatch, tile_pool, chunks):
     examples, x_v, params, hyper = pool_setup(4 * chunks - 1)   # a short last chunk
+    chunk_budget(monkeypatch, 4)
     prefixes = [ex.prefix for ex in examples]
     got = {}
     for workers in (1, 2):
@@ -174,6 +183,32 @@ def test_pooled_chunks_give_the_inline_ranks_and_report(monkeypatch, tile_pool, 
     # three passes with 2 workers, each with every other chunk on the pool thread
     assert tile_pool == 3 * [slice(i, min(i + 4, len(examples)))
                              for i in range(4, len(examples), 8)]
+
+
+def test_chunk_budgets_and_worker_counts_give_the_same_ranks_and_report(monkeypatch,
+                                                                        tile_pool):
+    # 13 examples over 40 items in chunks of 1, of 5 (the last one ragged) and
+    # in one chunk of 20 rows, each on 1, 2 and 6 threads. A product's rows
+    # round by how many rows BLAS is handed, so score bytes are compared
+    # within a budget; the ranks and the report hold across all of them.
+    examples, x_v, params, hyper = pool_setup(13, n=40)
+    prefixes = [ex.prefix for ex in examples]
+    ranked = set()
+    for rows in (1, 5, 20):
+        chunk_budget(monkeypatch, rows, n=40)
+        scored = []
+        for workers in (1, 2, 6):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            scored.append([(p, s.data.tobytes())
+                           for p, s in M.forward_groups(prefixes, x_v, params, hyper)])
+            report = evaluate_model(examples, x_v, params, hyper, ks=(1, 3, 10))
+            ranked.add((ranks_for_examples(examples, x_v, params, hyper).tobytes(),
+                        json.dumps(report.to_dict(), sort_keys=True)))
+        assert scored[1] == scored[0] and scored[2] == scored[0]
+        assert [p for p, _ in scored[0]] == [slice(i, min(i + rows, 13))
+                                             for i in range(0, 13, rows)]
+    assert len(ranked) == 1
+    assert tile_pool
 
 
 def record_census(tape, leaves):
@@ -202,8 +237,9 @@ def test_chunks_stay_inline_under_a_tape(monkeypatch, tile_pool):
     assert census[2] == census[1]
 
 
-def test_out_of_vocabulary_prefix_in_a_pooled_chunk_reaches_the_caller(tile_pool):
+def test_out_of_vocabulary_prefix_in_a_pooled_chunk_reaches_the_caller(monkeypatch, tile_pool):
     examples, x_v, params, hyper = pool_setup(11)
+    chunk_budget(monkeypatch, 4)
     examples[5] = TrainExample((0, 12), 1)   # chunk 4:8 runs on the pool thread
     with pytest.raises(ValueError, match="outside vocabulary"):
         ranks_for_examples(examples, x_v, params, hyper)
@@ -213,7 +249,8 @@ def test_out_of_vocabulary_prefix_in_a_pooled_chunk_reaches_the_caller(tile_pool
 def test_pooled_chunks_stress_more_workers_than_cores(monkeypatch, tile_pool):
     # 13 one-prefix chunks on 6 threads with a tiny switch interval: a lost or
     # reordered chunk would change the ranks or the scores' bytes
-    examples, x_v, params, hyper = pool_setup(13, batch=1)
+    examples, x_v, params, hyper = pool_setup(13)
+    chunk_budget(monkeypatch, 1)
     prefixes = [ex.prefix for ex in examples]
 
     def outputs():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sessrec import model as M
 from sessrec import graph as G
+from sessrec import tensor as T
 from sessrec.evaluate import ranks
 from sessrec.model import Hyperparams
 from sessrec.tensor import ShapeError, Tape, Tensor
@@ -409,17 +410,44 @@ def test_forward_groups_transposes_item_table_once():
 
 def test_forward_groups_chunks_follow_batch_size():
     # 11 prefixes of mixed lengths, some cut to max_session_len, in chunks of 4
+    # under a tape
     _, anorm, hyper, params = make_setup(n=8, d=5, layers=1, seed=4, batch_size=4)
     hyper = dataclasses.replace(hyper, max_session_len=3)
     x_v = M.propagate(params["item_emb"], anorm, params, 1)
     rng = np.random.default_rng(12)
     prefixes = [list(rng.integers(0, 8, size=rng.integers(1, 6))) for _ in range(11)]
-    chunks = list(M.forward_groups(prefixes, x_v, params, hyper))
+    with Tape():
+        chunks = list(M.forward_groups(prefixes, x_v, params, hyper))
     assert [positions for positions, _ in chunks] == [slice(0, 4), slice(4, 8), slice(8, 11)]
     for positions, scores in chunks:
         want = np.vstack([oracle_scores(p[-3:], x_v.data, params.tensors)
                           for p in prefixes[positions]])
         np.testing.assert_allclose(scores.data, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, rows", [(1998, 262), (200, 100)])
+def test_forward_groups_chunks_take_half_an_attention_tile(n, rows):
+    # with no tape recording a chunk holds max(1, min(n, TILE_ENTRIES // n) // 2)
+    # prefixes, so that its g x n scores take at most half a row tile; under a
+    # tape it holds batch_size
+    hyper = Hyperparams(d=2, num_layers=0, batch_size=7, max_session_len=3,
+                        seed=1).validate()
+    params = M.init_params(n, hyper)
+    x_v = Tensor(params["item_emb"].data)
+    prefixes = [(i % n, 7 * i % n, 3) for i in range(rows + 5)]
+    chunks = [positions for positions, _ in M.forward_groups(prefixes, x_v, params, hyper)]
+    assert chunks == [slice(0, rows), slice(rows, rows + 5)]
+    assert 2 * rows * n <= T.TILE_ENTRIES
+    with Tape():
+        taped = [positions for positions, _ in M.forward_groups(prefixes[:10], x_v, params,
+                                                                hyper)]
+    assert taped == [slice(0, 7), slice(7, 10)]
+
+
+def test_chunk_rows_depend_on_n_alone_without_a_tape():
+    hyper = Hyperparams(batch_size=7)
+    assert [M.chunk_rows(n, hyper) for n in (1, 2, 3, 200, 1998, 20_000, 2 ** 21)] == \
+        [1, 1, 1, 100, 262, 26, 1]
 
 
 def test_empty_prefix_is_a_shape_error():

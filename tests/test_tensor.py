@@ -350,6 +350,48 @@ def test_ragged_sum_blocks_and_repeat_rows_are_adjoint():
     np.testing.assert_array_equal(repeat_vjp(x.data)[0], s.data)
 
 
+def in_order_block_sums(a, lengths):
+    """Each block's rows added one at a time, in order, from +0.0."""
+    rows, out = iter(a.tolist()), []
+    for m in lengths:
+        acc = [0.0] * a.shape[1]
+        for _ in range(m):
+            acc = [s + v for s, v in zip(acc, next(rows))]
+        out.append(acc)
+    return np.array(out)
+
+
+def test_block_sums_add_each_block_in_row_order():
+    # magnitudes from 1e-8 to 1e8, so that another order of the same terms
+    # rounds differently; one-row blocks of -0.0 sum to +0.0
+    rng = np.random.default_rng(9)
+    lengths = np.concatenate([rng.integers(1, 40, size=60), [1, 1, 3]])
+    x = rng.standard_normal((lengths.sum(), 7)) * 10.0 ** rng.integers(-8, 9, (lengths.sum(), 7))
+    x[-5] = -0.0                     # the first one-row block
+    want = in_order_block_sums(x, lengths)
+    assert T.sum_blocks(Tensor(x), lengths).data.tobytes() == want.tobytes()
+    with Tape() as tape:
+        T.repeat_rows(Tensor(np.zeros((len(lengths), 7))), lengths)
+    ((_, _, vjp),) = tape.records
+    assert vjp(x)[0].tobytes() == want.tobytes()
+    assert not np.signbit(want[-3]).any() and want[-3].tolist() == [0.0] * 7
+
+
+@pytest.mark.parametrize("rows", [200, 50, 2000])
+def test_select_rows_backward_matches_add_at_bytes(rows):
+    # 322 repeated indices scattered into rows x 100: np.add.at adds in index
+    # order, and so must the backward
+    rng = np.random.default_rng(rows)
+    idx = rng.integers(0, rows, size=322)
+    g = rng.standard_normal((322, 100)) * 10.0 ** rng.integers(-8, 9, (322, 100))
+    want = np.zeros((rows, 100))
+    np.add.at(want, idx, g)
+    with Tape() as tape:
+        T.select_rows(Tensor(np.zeros((rows, 100))), idx)
+    ((_, _, vjp),) = tape.records
+    assert vjp(g)[0].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("lengths", [[1, 0, 5], [0, 6], [2, 2], [3, 4], [6.0], [],
                                      [[3, 3]]])
 def test_block_lengths_that_do_not_split_the_rows(lengths):
