@@ -79,59 +79,47 @@ def load_config_file(path) -> dict:
 
 
 def resolve_hyper(args) -> Hyperparams:
+    """The config file, then the preset, then every flag given, in that order."""
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config_file(args.config))
-    if getattr(args, "preset", None):
+    if args.preset:
         values.update(model_mod.PRESETS[args.preset])
-    overrides = {
-        "d": args.d, "num_layers": args.layers, "epsilon": args.epsilon,
-        "tau": args.tau, "beta": args.beta, "lr": args.lr, "l2": args.l2,
-        "batch_size": args.batch, "epochs": args.epochs, "seed": args.seed,
-        "max_session_len": args.max_session_len,
-        "spl_scope": args.spl_scope, "ce_form": args.ce_form,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
-    if args.no_attention:
-        values["use_attention"] = False
-    if args.no_reverse_pos:
-        values["use_reverse_pos"] = False
-    if args.no_spl:
-        values["use_spl"] = False
+    values.update((name, value) for name, value in vars(args).items()
+                  if name in _HYPER_FIELDS and value is not None)
     with config_errors():
-        return Hyperparams(**values).validate()
+        return Hyperparams(**values)
 
 
 def write_resolved_config(out_dir: Path, hyper: Hyperparams, extra: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = dict(hyper.to_dict())
-    doc.update(extra)
     with open(out_dir / "config.json", "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
+        json.dump(dataclasses.asdict(hyper) | extra, f, sort_keys=True, indent=2)
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per Hyperparams field, stored under the field's name; a flag
+    not given stays None and leaves the config file's or preset's value."""
     p.add_argument("--config", help="flat JSON config file; flags override it")
     p.add_argument("--preset", choices=sorted(model_mod.PRESETS),
                    help="dataset preset setting num_layers and beta")
     p.add_argument("--d", type=int)
-    p.add_argument("--layers", type=int)
+    p.add_argument("--layers", type=int, dest="num_layers")
     p.add_argument("--epsilon", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--lr", type=float)
     p.add_argument("--l2", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-session-len", type=int, dest="max_session_len")
-    p.add_argument("--spl-scope", choices=["all_items", "batch_items"], dest="spl_scope")
-    p.add_argument("--ce-form", choices=["as_printed", "softmax_ce"], dest="ce_form")
-    p.add_argument("--no-attention", action="store_true")
-    p.add_argument("--no-reverse-pos", action="store_true")
-    p.add_argument("--no-spl", action="store_true")
+    p.add_argument("--max-session-len", type=int)
+    p.add_argument("--spl-scope", choices=model_mod.SPL_SCOPES)
+    p.add_argument("--ce-form", choices=model_mod.CE_FORMS)
+    p.add_argument("--no-attention", action="store_false", dest="use_attention", default=None)
+    p.add_argument("--no-reverse-pos", action="store_false", dest="use_reverse_pos",
+                   default=None)
+    p.add_argument("--no-spl", action="store_false", dest="use_spl", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +195,7 @@ def cmd_synth(args) -> int:
     with config_errors():
         spec = synth_mod.SynthSpec(n_items=args.n_items, n_sessions=args.sessions,
                                    n_chains=args.chains, chain_len=args.chain_len,
-                                   noise=args.noise, seed=args.seed).validate()
+                                   noise=args.noise, seed=args.seed)
     bundle, _chains = synth_mod.synth_dataset(spec)
     with output_errors(args.out):
         data_mod.save_bundle(bundle, args.out)
@@ -223,7 +211,7 @@ def cmd_preprocess(args) -> int:
                                min_session_len=args.min_session_len,
                                holdout_fraction=args.holdout_fraction,
                                holdout_window=args.holdout_window,
-                               min_prefix_len=args.min_prefix_len).validate()
+                               min_prefix_len=args.min_prefix_len)
     try:
         with open(args.infile, "r", encoding="utf-8") as f:
             events, errors = data_mod.parse_events(
@@ -310,7 +298,7 @@ def cmd_gradcheck(args) -> int:
     with config_errors():
         hyper = Hyperparams(d=args.d, num_layers=args.layers, tau=args.tau,
                             beta=args.beta, max_session_len=6, seed=args.seed,
-                            batch_size=args.batch, epochs=0).validate()
+                            batch_size=args.batch, epochs=0)
     rng = np.random.default_rng(args.seed)
     sessions = [list(rng.integers(0, args.n, size=rng.integers(2, 6)))
                 for _ in range(max(6, args.batch))]

@@ -66,7 +66,7 @@ class Vocab:
         return key in self.index
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
     delimiter: str = "\t"
     has_header: bool = False
@@ -77,7 +77,7 @@ class PreprocessConfig:
     holdout_window: int | None = None   # time units; overrides fraction when set
     min_prefix_len: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if not self.delimiter:
             raise ValueError("delimiter must be a non-empty string")
         if not 0.0 <= self.max_error_ratio <= 1.0:
@@ -86,9 +86,9 @@ class PreprocessConfig:
             raise ValueError("holdout_fraction must be in (0, 1)")
         if self.holdout_window is not None and self.holdout_window < 0:
             raise ValueError("holdout_window must be >= 0")
-        if self.min_prefix_len < 1:
-            raise ValueError("min_prefix_len must be >= 1")
-        return self
+        for name in ("min_item_freq", "min_session_len", "min_prefix_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -222,7 +222,7 @@ def augment(items, min_prefix_len: int = 1) -> list:
 
 def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle:
     """End-to-end preprocessing: events -> DatasetBundle."""
-    config = (config or PreprocessConfig()).validate()
+    config = config or PreprocessConfig()
     raw = build_sessions(events)
     raw = filter_dataset(raw, config.min_item_freq, config.min_session_len)
     train_raw, test_raw = temporal_split(raw, config.holdout_fraction,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .model import CE_FORMS
 from .tensor import Tensor
 
 
@@ -34,7 +35,7 @@ def cross_entropy_rows(z: Tensor, targets, form: str = "as_printed") -> Tensor:
         raise ValueError(f"{targets.size} targets for {g} rows")
     if targets.size and (targets.min() < 0 or targets.max() >= n):
         raise ValueError("target index out of range")
-    if form not in ("as_printed", "softmax_ce"):
+    if form not in CE_FORMS:
         raise ValueError(f"unknown ce_form {form!r}")
     return T.softmax_cross_entropy(z, targets, form == "as_printed")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -19,7 +19,16 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-@dataclass
+SPL_SCOPES = ("all_items", "batch_items")
+CE_FORMS = ("as_printed", "softmax_ce")
+
+# annotation -> (accepted type, noun); bool is a subclass of int, so a JSON
+# true must not pass as a number, nor a 1 as a switch
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+          "bool": (bool, "true or false")}
+
+
+@dataclass(frozen=True)
 class Hyperparams:
     d: int = 100
     num_layers: int = 3
@@ -35,26 +44,20 @@ class Hyperparams:
     use_spl: bool = True
     use_attention: bool = True
     use_reverse_pos: bool = True
-    spl_scope: str = "all_items"      # or "batch_items"
-    ce_form: str = "as_printed"       # or "softmax_ce"
+    spl_scope: str = "all_items"      # one of SPL_SCOPES
+    ce_form: str = "as_printed"       # one of CE_FORMS
 
-    def validate(self):
-        # bool is a subclass of int, so a JSON true would pass as a number
-        for name in ("d", "num_layers", "epsilon", "batch_size", "epochs",
-                     "max_session_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        for name in ("tau", "beta", "lr", "l2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number")
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type not in _KINDS:
+                continue
+            kind, noun = _KINDS[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{f.name} must be {noun}")
             # false for NaN, infinities and integers too large for a float
-            if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite")
-        for name in ("use_spl", "use_attention", "use_reverse_pos"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false")
+            if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{f.name} must be finite")
         for name, low in (("d", 1), ("epsilon", 1), ("batch_size", 1), ("max_session_len", 1),
                           ("num_layers", 0), ("epochs", 0), ("seed", 0), ("beta", 0), ("l2", 0)):
             if getattr(self, name) < low:
@@ -62,14 +65,10 @@ class Hyperparams:
         for name in ("tau", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.spl_scope not in ("all_items", "batch_items"):
+        if self.spl_scope not in SPL_SCOPES:
             raise ValueError(f"unknown spl_scope {self.spl_scope!r}")
-        if self.ce_form not in ("as_printed", "softmax_ce"):
+        if self.ce_form not in CE_FORMS:
             raise ValueError(f"unknown ce_form {self.ce_form!r}")
-        return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # preset (num_layers, beta) pairs matching the three benchmark setups
@@ -195,12 +194,6 @@ def predict(z: Tensor) -> Tensor:
     _, total = T._exp_rows_(p)
     p /= total
     return Tensor(p)
-
-
-def forward_session(items, x_v: Tensor, params: ModelParams, hyper: Hyperparams) -> Tensor:
-    """One session's 1 x n probability vector: the one-row case of forward_groups."""
-    ((_, scores),) = forward_groups([items], x_v, params, hyper)
-    return predict(scores)
 
 
 def chunk_rows(n: int, hyper: Hyperparams) -> int:

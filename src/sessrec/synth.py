@@ -14,7 +14,7 @@ import numpy as np
 from . import data as data_mod
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     n_items: int = 200
     n_sessions: int = 2000
@@ -25,17 +25,19 @@ class SynthSpec:
     max_walk: int = 8
     seed: int = 7
 
-    def validate(self):
-        # a one-item walk is no session, and a split needs two sessions
-        for name, low in (("n_chains", 1), ("chain_len", 2), ("n_sessions", 2), ("seed", 0)):
+    def __post_init__(self):
+        # a one-item chain is no session, and a split needs two sessions
+        for name, low in (("n_chains", 1), ("chain_len", 2), ("n_sessions", 2),
+                          ("min_walk", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         if self.n_chains * self.chain_len > self.n_items:
             raise ValueError(f"{self.n_chains} chains of {self.chain_len} items do not "
                              f"fit in the item universe of {self.n_items}")
+        if self.min_walk > self.max_walk:
+            raise ValueError(f"min_walk {self.min_walk} must be <= max_walk {self.max_walk}")
         if not 0.0 <= self.noise <= 1.0:
             raise ValueError("noise must be in [0, 1]")
-        return self
 
 
 def make_chains(spec: SynthSpec, rng) -> list:
@@ -47,7 +49,6 @@ def make_chains(spec: SynthSpec, rng) -> list:
 
 def synth_events(spec: SynthSpec):
     """Generate raw events plus the planted chains (for oracle checks)."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     chains = make_chains(spec, rng)
     events = []

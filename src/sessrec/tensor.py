@@ -246,15 +246,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: row counts of {a.shape} and {b.shape} differ")
-    out = Tensor(np.hstack([a.data, b.data]))
-    split = a.shape[1]
-    Tape._record(out, (a, b), lambda g: (g[:, :split], g[:, split:]))
-    return out
-
-
 def select_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,6 @@ def _evaluate(bundle: DatasetBundle, params: ModelParams, anorm, hyper: Hyperpar
 
 def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
           ks=(10, 20), log_stream=None) -> TrainResult:
-    hyper.validate()
     if hyper.epochs > 0 and not bundle.test:   # every epoch ends with a test evaluation
         raise eval_mod.EvalError("empty test set")
     anorm = graph_mod.bundle_adjacency(bundle, hyper.epsilon)
@@ -156,7 +155,7 @@ def save_checkpoint(path, params: ModelParams, adam: Adam | None,
         blobs.append(np.ascontiguousarray(data, dtype=np.float64).tobytes())
         offset += len(blobs[-1])
     meta = {"format_version": CHECKPOINT_VERSION, "vocab_hash": vhash,
-            "hyper": hyper.to_dict(), "adam_t": adam.t if adam is not None else None,
+            "hyper": asdict(hyper), "adam_t": adam.t if adam is not None else None,
             "num_layers": params.num_layers, "arrays": arrays}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
@@ -192,7 +191,7 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         raise CheckpointError(f"checkpoint format version {version!r} unsupported")
     try:
         vhash, adam_t, num_layers = meta["vocab_hash"], meta["adam_t"], meta["num_layers"]
-        hyper = Hyperparams(**meta["hyper"]).validate()
+        hyper = Hyperparams(**meta["hyper"])
         specs = [(spec["name"].partition("/"), int(spec["rows"]), int(spec["cols"]),
                   int(spec["offset"])) for spec in meta["arrays"]]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:

@@ -47,7 +47,7 @@ def synth_hyper(seed, **kw):
     base = dict(d=48, num_layers=2, max_session_len=10, batch_size=100,
                 epochs=4, lr=0.003, beta=0.5, tau=0.1, seed=seed)
     base.update(kw)
-    return Hyperparams(**base).validate()
+    return Hyperparams(**base)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ def full_loss_grad_error(rng) -> float:
     graph = G.build_global_graph(sessions, n, G.GraphConfig(3))
     anorm = G.row_normalize(graph)
     hyper = Hyperparams(d=d, num_layers=layers, tau=0.1, beta=1.0,
-                        max_session_len=6, batch_size=batch, seed=0).validate()
+                        max_session_len=6, batch_size=batch, seed=0)
     examples = [TrainExample(tuple(s[:-1]), int(s[-1])) for s in sessions[:batch]]
     params = M.init_params(n, hyper)
 
@@ -179,8 +179,6 @@ def test_criterion_2_gradient_correctness(monkeypatch):
             lambda: T.softmax_cross_entropy(z, np.array([0, 3, 3]), True), [z]),
         "softmax_cross_entropy/softmax_ce": lambda z=r(3, 4): (
             lambda: T.softmax_cross_entropy(z, np.array([2, 0, 1]), False), [z]),
-        "concat_cols": lambda a=r(3, 2), b=r(3, 3): (
-            lambda: T.sum_all(T.tanh(T.concat_cols(a, b))), [a, b]),
         "select_rows": lambda x=r(5, 3): (
             lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x]),
         "sum_blocks": lambda x=r(6, 3): (
@@ -276,11 +274,12 @@ def test_criterion_4_normalization():
         sums = np.asarray(anorm.matrix.sum(axis=1)).ravel()
         assert all(abs(s - 1.0) < 1e-9 or abs(s) < 1e-9 for s in sums)
         hyper = Hyperparams(d=int(rng.integers(2, 10)), num_layers=layers,
-                            max_session_len=10, seed=trial).validate()
+                            max_session_len=10, seed=trial)
         params = M.init_params(n, hyper)
         x_v = M.propagate(params["item_emb"], anorm, params, layers)
         for items in sessions:
-            y = M.forward_session(items, x_v, params, hyper)
+            ((_, scores),) = M.forward_groups([items], x_v, params, hyper)
+            y = M.predict(scores)
             worst_prob = max(worst_prob, abs(y.data.sum() - 1.0))
             assert np.all(y.data >= 0)
     report("criterion-4 normalization", worst_prob < 1e-9,
@@ -295,7 +294,7 @@ def test_criterion_5_overfit():
     t0 = time.monotonic()
     bundle = memorization_bundle()
     hyper = Hyperparams(d=24, num_layers=2, max_session_len=6, batch_size=20,
-                        lr=0.01, beta=0.5, seed=0, epochs=0).validate()
+                        lr=0.01, beta=0.5, seed=0, epochs=0)
     graph = G.build_global_graph(bundle.sessions_train, bundle.vocab.n,
                                  G.GraphConfig(hyper.epsilon))
     anorm = G.row_normalize(graph)

@@ -1,6 +1,10 @@
+import argparse
+import dataclasses
 import json
+import re
 import shlex
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +13,9 @@ from sessrec import tensor as T
 from sessrec import train as TR
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
                          EXIT_OK, build_parser, main)
+from sessrec.data import PreprocessConfig
+from sessrec.model import Hyperparams
+from sessrec.synth import SynthSpec
 from conftest import rewrite_meta
 
 
@@ -232,16 +239,28 @@ def test_checkpoint_without_parameter_exit_code(tmp_path, synth_bundle):
                "--out", str(tmp_path / "e.json")) == EXIT_CHECKPOINT
 
 
-def test_preprocess_min_prefix_len_zero_exit_code(tmp_path):
+def write_events(tmp_path):
+    """Six three-item sessions over items a, b, c as a raw event file."""
     raw = tmp_path / "events.tsv"
     raw.write_text("".join(f"s{s}\t{k}\t{s * 3 + i}\n" for s in range(6)
                            for i, k in enumerate("abc")))
-    out = tmp_path / "bundle.json"
+    return raw
+
+
+def test_preprocess_min_prefix_len_zero_exit_code(tmp_path):
+    raw, out = write_events(tmp_path), tmp_path / "bundle.json"
     assert run("preprocess", "--in", str(raw), "--out", str(out),
                "--min-prefix-len", "0") == EXIT_CONFIG
     assert not out.exists()
     assert run("preprocess", "--in", str(raw), "--out", str(out),
                "--min-item-freq", "1") == EXIT_OK
+
+
+@pytest.mark.parametrize("flag", ["--min-session-len", "--min-item-freq"])
+def test_preprocess_min_count_zero_exit_code(tmp_path, flag):
+    raw, out = write_events(tmp_path), tmp_path / "bundle.json"
+    assert run("preprocess", "--in", str(raw), "--out", str(out), flag, "0") == EXIT_CONFIG
+    assert not out.exists()
 
 
 def _break_bundle(doc, case):
@@ -348,10 +367,40 @@ def test_synth_negative_seed_exit_code(tmp_path):
     assert not (tmp_path / "s.json").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+HYPER_FIELDS = [f.name for f in dataclasses.fields(Hyperparams)]
+
+
 def readme_commands():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    return [line.split("#")[0].strip() for line in readme.read_text().splitlines()
+    return [line.split("#")[0].strip() for line in README.read_text().splitlines()
             if line.startswith("sessrec ")]
+
+
+def train_flags():
+    """{first option string: argparse action} for every option of `sessrec train`."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0]: a for a in sub.choices["train"]._actions if a.option_strings}
+
+
+def test_every_hyperparameter_is_the_dest_of_one_train_flag():
+    dests = Counter(a.dest for a in train_flags().values())
+    assert {name: dests[name] for name in HYPER_FIELDS} == dict.fromkeys(HYPER_FIELDS, 1)
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `(--[a-z0-9-]+)` \| `([a-z0-9_]+)(: false)?` \|$",
+                      README.read_text(), re.MULTILINE)
+    table = {flag: (key, bool(false)) for flag, key, false in rows}
+    want = {flag: (a.dest, a.const is False) for flag, a in train_flags().items()
+            if a.dest in HYPER_FIELDS}
+    assert len(rows) == len(table) and table == want
+
+
+@pytest.mark.parametrize("cls", [Hyperparams, PreprocessConfig, SynthSpec])
+def test_configs_are_frozen(cls):
+    config, name = cls(), dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
 
 
 def test_readme_commands_parse():

@@ -199,10 +199,11 @@ class TestMakeBundle:
 
 @pytest.mark.parametrize("field,value", [
     ("min_prefix_len", 0), ("max_error_ratio", 1.5), ("holdout_fraction", 1.0),
-    ("holdout_window", -1), ("delimiter", "")])
+    ("holdout_window", -1), ("delimiter", ""), ("min_session_len", 0),
+    ("min_item_freq", 0)])
 def test_preprocess_config_validation(field, value):
     with pytest.raises(ValueError, match=field):
-        PreprocessConfig(**{field: value}).validate()
+        PreprocessConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         make_bundle([], PreprocessConfig(**{field: value}))
 

@@ -140,7 +140,7 @@ def pool_setup(n_examples, n=12, d=5, batch=4):
     a tape."""
     rng = np.random.default_rng(21)
     hyper = Hyperparams(d=d, num_layers=1, batch_size=batch, max_session_len=4,
-                        seed=2).validate()
+                        seed=2)
     params = M.init_params(n, hyper)
     x_v = Tensor(rng.standard_normal((n, d)))
     examples = [TrainExample(tuple(int(i) for i in rng.integers(0, n, size=rng.integers(1, 7))),

@@ -39,6 +39,13 @@ def oracle_forward(items, x_v, params, use_reverse_pos=True):
     return np_softmax_rows(oracle_scores(items, x_v, params, use_reverse_pos))
 
 
+def forward_one(items, x_v, params, hyper):
+    """One session's 1 x n probability vector: predict on the single chunk of
+    forward_groups([items], ...)."""
+    ((_, scores),) = M.forward_groups([items], x_v, params, hyper)
+    return M.predict(scores)
+
+
 def encode_one(items, x_v, params):
     """encode_session on a batch holding the single session `items`."""
     xw, pw = M.project_items(x_v, params)
@@ -67,7 +74,7 @@ def make_setup(n=6, d=4, layers=2, seed=0, **kw):
     graph = G.build_global_graph(sessions, n, G.GraphConfig(3))
     anorm = G.row_normalize(graph)
     hyper = Hyperparams(d=d, num_layers=layers, max_session_len=8, seed=seed,
-                        **kw).validate()
+                        **kw)
     params = M.init_params(n, hyper)
     return sessions, anorm, hyper, params
 
@@ -273,7 +280,7 @@ class TestScorePredict:
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400])
 def test_hyperparams_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        Hyperparams(**{name: value}).validate()
+        Hyperparams(**{name: value})
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -283,24 +290,24 @@ def test_hyperparams_reject_non_finite(name, value):
     ("use_reverse_pos", None, "must be true or false")])
 def test_hyperparams_reject_values_of_the_wrong_type(name, value, message):
     with pytest.raises(ValueError, match=f"{name} {message}"):
-        Hyperparams(**{name: value}).validate()
+        Hyperparams(**{name: value})
 
 
 class TestInitParams:
     def test_same_seed_identical(self):
-        h = Hyperparams(d=10, num_layers=1).validate()
+        h = Hyperparams(d=10, num_layers=1)
         a, b = M.init_params(20, h, seed=5), M.init_params(20, h, seed=5)
         assert list(a.tensors) == list(b.tensors)
         for name, t in a.items():
             np.testing.assert_array_equal(t.data, b[name].data)
 
     def test_different_seeds_differ(self):
-        h = Hyperparams(d=10, num_layers=1).validate()
+        h = Hyperparams(d=10, num_layers=1)
         a, b = M.init_params(20, h, seed=5), M.init_params(20, h, seed=6)
         assert not np.array_equal(a["item_emb"].data, b["item_emb"].data)
 
     def test_bounds(self):
-        h = Hyperparams(d=100, num_layers=0).validate()
+        h = Hyperparams(d=100, num_layers=0)
         p = M.init_params(50, h, seed=1)
         for _, t in p.items():
             assert np.all(np.abs(t.data) <= 0.1)
@@ -315,11 +322,11 @@ def test_shape_chain_and_probability_vector(n, d, layers, m, seed):
     graph = G.build_global_graph(sessions, n, G.GraphConfig(3))
     anorm = G.row_normalize(graph)
     hyper = Hyperparams(d=d, num_layers=layers, max_session_len=10,
-                        seed=seed).validate()
+                        seed=seed)
     params = M.init_params(n, hyper)
     x_v = M.propagate(params["item_emb"], anorm, params, layers)
     items = list(rng.integers(0, n, size=m))
-    y = M.forward_session(items, x_v, params, hyper)
+    y = forward_one(items, x_v, params, hyper)
     assert y.shape == (1, n)
     assert np.all(y.data >= 0)
     assert abs(y.data.sum() - 1.0) < 1e-9
@@ -345,7 +352,7 @@ def test_ablation_reduces_to_lookup_plus_pooling():
     x_v = M.propagate(params["item_emb"], anorm, params, 0, use_attention=False)
     np.testing.assert_array_equal(x_v.data, params["item_emb"].data)
     items = sessions[0]
-    y = M.forward_session(items, x_v, params, hyper)
+    y = forward_one(items, x_v, params, hyper)
     want = oracle_forward(items, params["item_emb"].data, params.tensors)
     np.testing.assert_allclose(y.data, want, atol=1e-12)
 
@@ -354,7 +361,7 @@ def test_no_reverse_pos_matches_oracle():
     sessions, anorm, hyper, params = make_setup(use_reverse_pos=False)
     x_v = M.propagate(params["item_emb"], anorm, params, hyper.num_layers)
     items = sessions[1]
-    y = M.forward_session(items, x_v, params, hyper)
+    y = forward_one(items, x_v, params, hyper)
     want = oracle_forward(items, x_v.data, params.tensors, use_reverse_pos=False)
     np.testing.assert_allclose(y.data, want, atol=1e-12)
 
@@ -431,7 +438,7 @@ def test_forward_groups_chunks_take_half_an_attention_tile(n, rows):
     # prefixes, so that its g x n scores take at most half a row tile; under a
     # tape it holds batch_size
     hyper = Hyperparams(d=2, num_layers=0, batch_size=7, max_session_len=3,
-                        seed=1).validate()
+                        seed=1)
     params = M.init_params(n, hyper)
     x_v = Tensor(params["item_emb"].data)
     prefixes = [(i % n, 7 * i % n, 3) for i in range(rows + 5)]

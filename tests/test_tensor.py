@@ -468,10 +468,6 @@ class TestPrimitiveGradients:
         x = rand(self.rng, 3, 3)
         _check(lambda: T.sum_all(T.sigmoid(T.tanh(x))), [x])
 
-    def test_concat_cols(self):
-        a, b = rand(self.rng, 3, 2), rand(self.rng, 3, 4)
-        _check(lambda: T.sum_all(T.tanh(T.concat_cols(a, b))), [a, b])
-
     def test_select_rows_with_repeats(self):
         x = rand(self.rng, 5, 3)
         _check(lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x])

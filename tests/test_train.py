@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -22,7 +23,7 @@ def tiny_hyper(**kw):
     base = dict(d=8, num_layers=1, max_session_len=6, batch_size=8, epochs=2,
                 seed=3, beta=0.5)
     base.update(kw)
-    return Hyperparams(**base).validate()
+    return Hyperparams(**base)
 
 
 @pytest.fixture
@@ -114,14 +115,14 @@ class TestTapeSize:
         # score matmul) and one cross-entropy record after it
         batch = large_bundle.train[:100]
         assert len({len(ex.prefix) for ex in batch}) > 1
-        hyper = Hyperparams(d=8).validate()    # d=100, L=3, batch 100 but for d
+        hyper = Hyperparams(d=8)    # d=100, L=3, batch 100 but for d
         assert self._records(large_bundle, batch, hyper) == 35
 
     @staticmethod
     def _step_peak(bundle):
         """tracemalloc peak of one batch_loss + Tape.backward at the train-large
         shape: d=100, L=3 and the first 100 training examples."""
-        hyper = Hyperparams().validate()
+        hyper = Hyperparams()
         anorm = G.bundle_adjacency(bundle, hyper.epsilon)
         params = M.init_params(bundle.vocab.n, hyper)
 
@@ -337,7 +338,7 @@ def test_load_checkpoint_fuzz(valid_checkpoint, tmp_path, data):
         value = data.draw(JSON_VALUES)
         raw = rewrite_meta(raw, lambda m: dict(m, **{key: value}))
     elif kind == "hyper":
-        key = data.draw(st.sampled_from(sorted(Hyperparams().to_dict())))
+        key = data.draw(st.sampled_from([f.name for f in dataclasses.fields(Hyperparams)]))
         value = data.draw(JSON_VALUES)
         raw = rewrite_meta(raw, lambda m: dict(m, hyper=dict(m["hyper"], **{key: value})))
     else:
@@ -358,6 +359,12 @@ class TestSynth:
     def test_chains_must_fit(self):
         with pytest.raises(ValueError, match="do not fit"):
             S.synth_dataset(S.SynthSpec(n_items=50))
+
+    @pytest.mark.parametrize("walks", [{"min_walk": 0}, {"min_walk": -2, "max_walk": -1},
+                                       {"min_walk": 5, "max_walk": 3}])
+    def test_walk_lengths_checked_on_construction(self, walks):
+        with pytest.raises(ValueError, match="min_walk"):
+            S.SynthSpec(**walks)
 
     def test_zero_noise_sessions_are_chain_walks(self):
         spec = S.SynthSpec(n_items=30, n_sessions=40, n_chains=3, noise=0.0, seed=1)
