@@ -68,7 +68,7 @@ def load_config_file(path) -> dict:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"malformed config {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a flat JSON object")
@@ -217,7 +217,7 @@ def cmd_preprocess(args) -> int:
             events, errors = data_mod.parse_events(
                 f, delimiter=cfg.delimiter, has_header=cfg.has_header,
                 max_error_ratio=cfg.max_error_ratio)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {args.infile}: {e}") from e
     for lineno, msg in errors:
         print(f"warning: line {lineno}: {msg}", file=sys.stderr)
@@ -232,9 +232,9 @@ def cmd_build_graph(args) -> int:
     with config_errors():
         cfg = graph_mod.GraphConfig(args.epsilon)
     bundle = data_mod.load_bundle(args.infile)
-    sessions = list(bundle.sessions_train)
+    sessions = bundle.sessions_train
     if args.include_test:
-        sessions += bundle.sessions_test
+        sessions = sessions + bundle.sessions_test
     graph = graph_mod.build_global_graph(sessions, bundle.vocab.n, cfg)
     bundle.graph = graph
     bundle.graph_epsilon = args.epsilon

@@ -4,16 +4,22 @@ The pipeline: parse delimiter-separated events, group them into sessions,
 drop rare items then short sessions, split the most recent sessions into a
 test window, build the vocabulary from train sessions only, and expand every
 session into (prefix, next-item) supervision pairs.
+
+A bundle holds its sessions and its examples as ragged containers: one flat
+item array with row offsets, and one int per row (a start time or a target),
+with no Python object per row.
 """
 from __future__ import annotations
 
 import gc
 import json
+import numbers
+import operator
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +53,114 @@ class Session:
 class TrainExample(NamedTuple):
     prefix: tuple
     target: int
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Row offsets from row lengths: 0, then their running sum."""
+    out = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _gather(items: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """The runs items[starts[r]:starts[r] + lengths[r]] laid end to end, with
+    their offsets."""
+    offsets = _offsets(lengths)
+    return items[np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])], offsets
+
+
+def flat(rows, last: int | None = None) -> tuple:
+    """(items, offsets) of rows of item indices: a container's own arrays, or a
+    sequence of item sequences laid end to end. With `last`, each row keeps its
+    last `last` items."""
+    if isinstance(rows, Ragged):
+        items, offsets = rows.items, rows.offsets
+    else:
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        items = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=lengths.sum())
+        offsets = _offsets(lengths)
+    lengths = np.diff(offsets)
+    if last is not None and lengths.max(initial=0) > last:
+        kept = np.minimum(lengths, last)
+        items, offsets = _gather(items, offsets[1:] - kept, kept)
+    return items, offsets
+
+
+class Ragged:
+    """Rows of item indices laid end to end, with one int value per row: row r
+    holds items[offsets[r]:offsets[r + 1]] and values[r]. An int index builds
+    that row's object; a slice or an index array gives a container of the
+    chosen rows. Containers are not changed in place."""
+    __slots__ = ("items", "offsets", "values")
+
+    def __init__(self, items: np.ndarray, offsets: np.ndarray, values: np.ndarray):
+        self.items, self.offsets, self.values = items, offsets, values
+
+    @classmethod
+    def of(cls, rows):
+        """rows itself if it is a container of this kind, else a container of
+        its rows, Session or TrainExample objects."""
+        if isinstance(rows, cls):
+            return rows
+        rows = list(rows)
+        items, offsets = flat(list(map(attrgetter(cls._items), rows)))
+        return cls(items, offsets, np.array(list(map(attrgetter(cls._value), rows)),
+                                            dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def __getitem__(self, key):
+        if isinstance(key, numbers.Integral):
+            r = range(len(self))[key]
+            a, b = self.offsets[r:r + 2].tolist()
+            return self._row(self.items[a:b].tolist(), int(self.values[r]))
+        rows = np.arange(len(self))[key]
+        starts = self.offsets[rows]
+        items, offsets = _gather(self.items, starts, self.offsets[rows + 1] - starts)
+        return type(self)(items, offsets, self.values[rows])
+
+    def __iter__(self):
+        items, offsets = self.items.tolist(), self.offsets.tolist()
+        runs = map(items.__getitem__, map(slice, offsets, offsets[1:]))
+        return map(self._row, runs, self.values.tolist())
+
+    def __eq__(self, other):
+        """Row by row, against a container or a sequence of rows."""
+        try:
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        except TypeError:
+            return NotImplemented
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(np.concatenate((self.items, other.items)),
+                          np.concatenate((self.offsets, other.offsets[1:] + self.offsets[-1])),
+                          np.concatenate((self.values, other.values)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows, {self.items.size} items)"
+
+
+class Sessions(Ragged):
+    """Sessions: row r is Session(items, start_time)."""
+    __slots__ = ()
+    _items, _value, _row = "items", "start_time", Session
+
+
+class Examples(Ragged):
+    """Prefix examples: row r is TrainExample(prefix, target)."""
+    __slots__ = ()
+    _items, _value = "prefix", "target"
+
+    @staticmethod
+    def _row(prefix: list, target: int) -> TrainExample:
+        return TrainExample(tuple(prefix), target)
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self.values
 
 
 class Vocab:
@@ -91,17 +205,26 @@ class PreprocessConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
+_CONTAINERS = {"sessions_train": Sessions, "sessions_test": Sessions,
+               "train": Examples, "test": Examples}
+
+
 @dataclass
 class DatasetBundle:
     vocab: Vocab
-    sessions_train: list          # list[Session], used for graph building
-    sessions_test: list
-    train: list                   # list[TrainExample]
-    test: list
+    sessions_train: Sessions      # used for graph building
+    sessions_test: Sessions
+    train: Examples
+    test: Examples
     stats: dict
     config: dict = field(default_factory=dict)
     graph: object = None          # optional GlobalGraph, attached by build-graph
     graph_epsilon: int | None = None
+
+    def __setattr__(self, name, value):
+        """Sessions and examples given as lists of rows become containers."""
+        kind = _CONTAINERS.get(name)
+        super().__setattr__(name, value if kind is None else kind.of(value))
 
 
 def parse_events(stream, delimiter: str = "\t", has_header: bool = False,
@@ -130,7 +253,8 @@ def parse_events(stream, delimiter: str = "\t", has_header: bool = False,
         session_key, item_key, ts = parts[0], parts[1], parts[2]
         try:
             timestamp = int(ts)
-        except ValueError:
+            np.int64(timestamp)   # start times are held as int64
+        except (ValueError, OverflowError):
             errors.append((lineno, f"bad timestamp {ts!r}"))
             continue
         events.append(RawEvent(session_key, item_key, timestamp))
@@ -203,21 +327,30 @@ def build_vocab(train_sessions) -> Vocab:
     return Vocab(seen.keys())
 
 
-def index_sessions(sessions, vocab: Vocab, min_session_len: int = 2) -> list:
+def index_sessions(sessions, vocab: Vocab, min_session_len: int = 2) -> Sessions:
     """Map item keys to indices, dropping unknown items then short sessions."""
-    out = []
+    kept, start_times = [], []
     for s in sessions:
         items = [vocab.index[k] for k in s.item_keys if k in vocab]
         if len(items) >= min_session_len:
-            out.append(Session(items=items, start_time=s.start_time))
-    return out
+            kept.append(items)
+            start_times.append(s.start_time)
+    return Sessions(*flat(kept), np.array(start_times, dtype=np.int64))
 
 
-def augment(items, min_prefix_len: int = 1) -> list:
+def prefix_examples(sessions, min_prefix_len: int = 1) -> Examples:
+    """All (items[:t], items[t]) pairs of each session's items, t in
+    [min_prefix_len, m-1], session by session; sessions as for flat()."""
+    items, offsets = flat(sessions)
+    counts = np.maximum(np.diff(offsets) - min_prefix_len, 0)
+    starts = np.repeat(offsets[:-1], counts)
+    t = min_prefix_len + np.arange(starts.size) - np.repeat(_offsets(counts)[:-1], counts)
+    return Examples(*_gather(items, starts, t), items[starts + t])
+
+
+def augment(items, min_prefix_len: int = 1) -> Examples:
     """All (items[:t], items[t]) pairs for t in [min_prefix_len, m-1]."""
-    m = len(items)
-    return [TrainExample(prefix=tuple(items[:t]), target=items[t])
-            for t in range(min_prefix_len, m)]
+    return prefix_examples([items], min_prefix_len)
 
 
 def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle:
@@ -232,18 +365,16 @@ def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle
     sessions_test = index_sessions(test_raw, vocab, config.min_session_len)
     if not sessions_train:
         raise DataError("empty dataset: no training sessions survived indexing")
-    train_examples = [ex for s in sessions_train
-                      for ex in augment(s.items, config.min_prefix_len)]
-    test_examples = [ex for s in sessions_test
-                     for ex in augment(s.items, config.min_prefix_len)]
-    all_lens = [len(s.items) for s in sessions_train + sessions_test]
+    train_examples = prefix_examples(sessions_train, config.min_prefix_len)
+    test_examples = prefix_examples(sessions_test, config.min_prefix_len)
+    n_sessions = len(sessions_train) + len(sessions_test)
     stats = {
         "n_items": vocab.n,
         "n_sessions_train": len(sessions_train),
         "n_sessions_test": len(sessions_test),
         "n_train_examples": len(train_examples),
         "n_test_examples": len(test_examples),
-        "mean_session_len": sum(all_lens) / len(all_lens),
+        "mean_session_len": (sessions_train.items.size + sessions_test.items.size) / n_sessions,
     }
     cfg = {
         "min_item_freq": config.min_item_freq,
@@ -266,10 +397,10 @@ def bundle_to_dict(bundle: DatasetBundle) -> dict:
     doc = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "vocab": bundle.vocab.items,
-        "sessions_train": [[s.items, s.start_time] for s in bundle.sessions_train],
-        "sessions_test": [[s.items, s.start_time] for s in bundle.sessions_test],
-        "train": [[list(ex.prefix), ex.target] for ex in bundle.train],
-        "test": [[list(ex.prefix), ex.target] for ex in bundle.test],
+        "sessions_train": _row_lists(bundle.sessions_train),
+        "sessions_test": _row_lists(bundle.sessions_test),
+        "train": _row_lists(bundle.train),
+        "test": _row_lists(bundle.test),
         "stats": bundle.stats,
         "config": bundle.config,
     }
@@ -279,6 +410,13 @@ def bundle_to_dict(bundle: DatasetBundle) -> dict:
     return doc
 
 
+def _row_lists(rows: Ragged) -> list:
+    """[items, value] lists, one per row, as the bundle file holds them."""
+    items, offsets = rows.items.tolist(), rows.offsets.tolist()
+    return list(map(list, zip(map(items.__getitem__, map(slice, offsets, offsets[1:])),
+                              rows.values.tolist())))
+
+
 def _field(doc: dict, key: str, kind: type):
     value = doc.get(key)
     if not isinstance(value, kind):
@@ -286,31 +424,38 @@ def _field(doc: dict, key: str, kind: type):
     return value
 
 
-def _ints(xs, valid: frozenset | None = None) -> bool:
-    """Every element is an int (bools excluded), and in `valid` when given."""
-    return set(map(type, xs)) <= {int} and (valid is None or valid.issuperset(xs))
+def _ints(xs: list, n: int | None = None):
+    """xs as an int64 array when every element is an int (bools excluded) and,
+    given n, in [0, n); else None. An int past the int64 range raises
+    OverflowError."""
+    if not set(map(type, xs)) <= {int}:
+        return None
+    out = np.fromiter(xs, dtype=np.int64, count=len(xs))
+    if n is not None and out.size and (out.min() < 0 or out.max() >= n):
+        return None
+    return out
 
 
-def _rows(doc: dict, key: str, valid: frozenset, min_items: int,
-          value_valid: frozenset | None) -> tuple:
+def _rows(doc: dict, key: str, n: int, min_items: int, values_in_vocab: bool) -> tuple:
     """A bundle field of [items, value] rows: at least min_items int items in
-    `valid` and an int value, in value_valid when given. Returns the item lists
-    and the values."""
+    [0, n) and an int value, also in [0, n) when values_in_vocab. Returns the
+    items laid end to end, their row offsets and the values."""
     rows = _field(doc, key, list)
-    items, values = [], []
+    items = values = None
     try:
-        ok = set(map(len, rows)) <= {2}
-        if ok and rows:
-            items, values = list(map(itemgetter(0), rows)), list(map(itemgetter(1), rows))
-            ok = (min(map(len, items)) >= min_items and _ints(values, value_valid)
-                  and _ints(list(chain.from_iterable(items)), valid))
-    except (TypeError, KeyError):   # a row or an item list that is not a list
-        ok = False
-    if not ok:
+        if set(map(len, rows)) <= {2}:
+            item_lists = list(map(itemgetter(0), rows))
+            lengths = np.fromiter(map(len, item_lists), dtype=np.intp, count=len(rows))
+            if lengths.min(initial=min_items) >= min_items:
+                values = _ints(list(map(itemgetter(1), rows)), n if values_in_vocab else None)
+                items = _ints(list(chain.from_iterable(item_lists)), n)
+    except (TypeError, KeyError, OverflowError):   # a row or an item list that is not
+        pass                                       # a list, or an int past int64
+    if items is None or values is None:
         raise DataError(f"bundle field {key!r} must hold [items, value] rows of "
                         f"integers, at least {min_items} item(s) per row, items in "
-                        f"[0, {len(valid)})")
-    return items, values
+                        f"[0, {n})")
+    return items, _offsets(lengths), values
 
 
 def bundle_from_dict(doc: dict) -> DatasetBundle:
@@ -327,18 +472,12 @@ def bundle_from_dict(doc: dict) -> DatasetBundle:
         raise DataError("bundle field 'vocab' must hold item key strings")
     vocab = Vocab(keys)
     n = vocab.n
-    valid = frozenset(range(n))
-
-    def examples(key):
-        prefixes, targets = _rows(doc, key, valid, 1, valid)
-        return list(map(TrainExample, map(tuple, prefixes), targets))
-
     bundle = DatasetBundle(
         vocab=vocab,
-        sessions_train=list(map(Session, *_rows(doc, "sessions_train", valid, 0, None))),
-        sessions_test=list(map(Session, *_rows(doc, "sessions_test", valid, 0, None))),
-        train=examples("train"),
-        test=examples("test"),
+        sessions_train=Sessions(*_rows(doc, "sessions_train", n, 0, False)),
+        sessions_test=Sessions(*_rows(doc, "sessions_test", n, 0, False)),
+        train=Examples(*_rows(doc, "train", n, 1, True)),
+        test=Examples(*_rows(doc, "test", n, 1, True)),
         stats=_field(doc, "stats", dict),
         config=doc.get("config", {}),
     )
@@ -348,11 +487,11 @@ def bundle_from_dict(doc: dict) -> DatasetBundle:
         try:
             ok = (type(epsilon) is int and epsilon >= 1
                   and set(map(len, edges)) <= {3}
-                  and _ints(list(map(itemgetter(0), edges)), valid)
-                  and _ints(list(map(itemgetter(1), edges)), valid)
+                  and _ints(list(map(itemgetter(0), edges)), n) is not None
+                  and _ints(list(map(itemgetter(1), edges)), n) is not None
                   and set(map(type, map(itemgetter(2), edges))) <= {int, float})
             g = graph_mod.edges_from_list(n, edges) if ok else None
-        except (TypeError, KeyError, OverflowError):   # not a list, or a huge int weight
+        except (TypeError, KeyError, OverflowError):   # not a list, or a huge int
             ok = False
         if not ok:
             raise DataError("bundle field 'graph' must hold epsilon >= 1 and "
@@ -391,7 +530,7 @@ def load_bundle(path) -> DatasetBundle:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read bundle {path}: {e}") from e
         return bundle_from_dict(doc)
 

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
+from . import data as data_mod
 from . import model as model_mod
 from .optim import NumericError
 
@@ -66,21 +66,40 @@ def report_from_ranks(ranks, ks) -> EvalReport:
                       n_examples=len(ranks))
 
 
-def ranks_for_examples(examples, x_v, params, hyper) -> np.ndarray:
-    """Target ranks for a list of (prefix, target) examples; forward-only.
-    Each chunk is ranked on the thread that scored it, and only its ranks come
-    back. Raises NumericError on a score that is not finite: no comparison
-    with NaN holds, so ranks would put every such target first."""
-    prefixes = [ex.prefix for ex in examples]
-    targets = np.array([ex.target for ex in examples], dtype=np.intp)
+# A score's magnitude is at most ||theta_r|| ||x_j||; below this bound no
+# product or partial sum can reach the float64 range (about 1.8e308).
+SCORE_BOUND = 1e300
 
-    def rank_chunk(positions, scores):
-        if not np.isfinite(scores.data).all():
+
+def _max_norm(x: np.ndarray) -> float:
+    """The largest row norm of x; NaN or inf when an entry is not finite."""
+    return float(np.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0)))
+
+
+def ranks_for_examples(examples, x_v, params, hyper) -> np.ndarray:
+    """Target ranks for (prefix, target) examples, a data.Examples container
+    or a list of them, converted once; forward-only. Each chunk is ranked on
+    the thread that scored it, and only its ranks come back. Raises
+    NumericError on a score that is not finite: no comparison with NaN holds,
+    so ranks would put every such target first. A chunk's g target scores are
+    always checked; all g x n scores only where finite theta and X_v with
+    max ||theta_r|| max ||x_j|| below SCORE_BOUND (Cauchy-Schwarz) do not
+    already rule out a score that is not finite."""
+    examples = data_mod.Examples.of(examples)
+    targets = examples.targets
+    x_norm = _max_norm(x_v.data)
+
+    def rank_chunk(positions, theta, scores):
+        s, t = scores.data, targets[positions]
+        # a NaN or an inf bound fails the comparison too
+        bounded = x_norm * _max_norm(theta.data) < SCORE_BOUND
+        if (not (bounded and np.isfinite(s[np.arange(t.size), t]).all())
+                and not np.isfinite(s).all()):
             raise NumericError("a score is not finite, so no rank is defined")
-        return ranks(scores.data, targets[positions])
+        return ranks(s, t)
 
     out = np.zeros(len(examples), dtype=np.int64)
-    for positions, chunk_ranks in model_mod.forward_groups(prefixes, x_v, params, hyper,
+    for positions, chunk_ranks in model_mod.forward_groups(examples, x_v, params, hyper,
                                                            rank_chunk):
         out[positions] = chunk_ranks
     return out
@@ -99,9 +118,8 @@ def popularity_baseline(bundle, ks=(10, 20)) -> EvalReport:
         raise EvalError("empty training set")
     if not bundle.test:
         raise EvalError("empty test set")
-    items = np.fromiter(chain.from_iterable(s.items for s in bundle.sessions_train),
-                        dtype=np.intp)
-    counts = np.bincount(items, minlength=bundle.vocab.n).astype(np.float64)
-    targets = [ex.target for ex in bundle.test]
-    return report_from_ranks(ranks(np.broadcast_to(counts, (len(targets), counts.size)),
+    counts = np.bincount(bundle.sessions_train.items,
+                         minlength=bundle.vocab.n).astype(np.float64)
+    targets = bundle.test.targets
+    return report_from_ranks(ranks(np.broadcast_to(counts, (targets.size, counts.size)),
                                    targets), ks)

@@ -7,11 +7,12 @@ contributions from all sessions are summed per edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
+
+from . import data as data_mod
 
 
 @dataclass
@@ -47,15 +48,18 @@ class NormalizedAdjacency:
 def build_global_graph(sessions, n: int, config: GraphConfig | None = None) -> GlobalGraph:
     """Accumulate hop-discounted edge weights over all sessions.
 
-    sessions: iterable of item-index lists (or objects with an .items list).
+    sessions: a data.Sessions container, whose flat arrays are read directly,
+    or an iterable of item-index lists (or of objects with an .items list),
+    laid end to end once.
     Each edge's contributions are summed in occurrence order (session, then
     position, then hop), so the weights do not depend on how edges are stored.
     """
     config = config or GraphConfig()
-    seqs = [getattr(s, "items", s) for s in sessions]
-    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    items = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
-    session = np.repeat(np.arange(len(seqs)), lengths)
+    if not isinstance(sessions, data_mod.Ragged):
+        sessions = [getattr(s, "items", s) for s in sessions]
+    items, offsets = data_mod.flat(sessions)
+    lengths = np.diff(offsets)
+    session = np.repeat(np.arange(lengths.size), lengths)
     # hops past the longest session never hit, so they get no column
     width = min(config.epsilon, int(lengths.max(initial=1)) - 1)
     # keys[i, dist-1] = items[i]*n + items[i+dist], or -1 past the session's end

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
 
 import numpy as np
 
+from . import data as data_mod
 from . import tensor as T
 from .tensor import Tensor
 
@@ -210,36 +210,38 @@ def forward_groups(prefixes, x_v: Tensor, params: ModelParams, hyper: Hyperparam
                    per_chunk=None):
     """Batched forward pass over many sessions at once.
 
-    Each prefix keeps its last max_session_len items; the calling thread lays
-    them end to end once, with their lengths, and each run takes a slice of
-    both. Yields (positions, scores Tensor g x n) for each run of
-    chunk_rows(n, hyper) consecutive prefixes (batch_size under a tape, else a
-    count set by the n items alone; the last run may be shorter), encoded as
-    one ragged batch; positions is the slice of `prefixes` the rows stand for.
-    With per_chunk, each run yields (positions, per_chunk(positions, scores))
-    instead, taken on the thread that scored the run, so the scores need not
-    outlive it (evaluation keeps only the ranks).
+    prefixes: a data.Examples (or data.Sessions) container, whose flat item
+    array and offsets are read directly, or a sequence of item sequences,
+    laid end to end once. Each prefix keeps its last max_session_len items,
+    cut from the offsets on the calling thread, and each run takes a slice of
+    the items and lengths. Yields (positions, scores Tensor g x n) for each
+    run of chunk_rows(n, hyper) consecutive prefixes (batch_size under a tape,
+    else a count set by the n items alone; the last run may be shorter),
+    encoded as one ragged batch; positions is the slice of `prefixes` the rows
+    stand for. With per_chunk, each run yields
+    (positions, per_chunk(positions, theta, scores)) instead, theta being the
+    run's g x d session embeddings, taken on the thread that scored the run,
+    so the scores need not outlive it (evaluation keeps only the ranks).
     With no tape recording, the runs go through tensor._tile_map, which may
     compute several at once on the kernels' threads (evaluation does); they are
     yielded in order and hold the same bytes whichever thread computed them.
     """
     x_vt = T.transpose(x_v)   # a view: no d x n copy
     xw, pw = project_items(x_v, params, hyper.use_reverse_pos)
-    kept = [tuple(p)[-hyper.max_session_len:] for p in prefixes]
-    lengths = np.fromiter(map(len, kept), dtype=np.intp, count=len(kept))
-    items = np.fromiter(chain.from_iterable(kept), dtype=np.intp, count=lengths.sum())
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    items, offsets = data_mod.flat(prefixes, last=hyper.max_session_len)
+    lengths = np.diff(offsets)
 
     def encode_and_score(positions):
         chunk_lengths = lengths[positions]
         chunk_items = items[offsets[positions.start]:offsets[positions.stop]]
         xstar = encode_session(chunk_items, chunk_lengths, xw, pw, params)
-        scores = score(session_attention(xstar, chunk_lengths, params), x_vt)
-        return positions, scores if per_chunk is None else per_chunk(positions, scores)
+        theta = session_attention(xstar, chunk_lengths, params)
+        scores = score(theta, x_vt)
+        return positions, scores if per_chunk is None else per_chunk(positions, theta, scores)
 
     rows = chunk_rows(x_v.shape[0], hyper)
-    chunks = [slice(start, min(start + rows, len(kept)))
-              for start in range(0, len(kept), rows)]
+    chunks = [slice(start, min(start + rows, lengths.size))
+              for start in range(0, lengths.size, rows)]
     # under a tape the chunks stay inline: records from several threads would
     # land in timing order, and backward would sum their gradients in that order
     yield from (map(encode_and_score, chunks) if T.Tape._stack

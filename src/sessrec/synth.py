@@ -99,5 +99,8 @@ def chain_next_map(spec: SynthSpec, chains, vocab) -> dict:
 def chain_oracle_p1(bundle, spec: SynthSpec, chains) -> float:
     """P@1 of the chain-following oracle on the test examples."""
     nxt = chain_next_map(spec, chains, bundle.vocab)
-    hits = sum(1 for ex in bundle.test if nxt.get(ex.prefix[-1]) == ex.target)
-    return hits / len(bundle.test)
+    follow = np.full(bundle.vocab.n, -1, dtype=np.intp)   # -1: no next item
+    follow[list(nxt)] = list(nxt.values())
+    test = bundle.test
+    hits = np.count_nonzero(follow[test.items[test.offsets[1:] - 1]] == test.targets)
+    return int(hits) / len(test)

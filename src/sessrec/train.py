@@ -19,7 +19,7 @@ from . import evaluate as eval_mod
 from . import graph as graph_mod
 from . import loss as loss_mod
 from . import model as model_mod
-from .data import DatasetBundle, vocab_hash
+from .data import DatasetBundle, Examples, vocab_hash
 from .model import Hyperparams, ModelParams
 from .optim import Adam, NumericError
 from .tensor import Tape, Tensor
@@ -42,7 +42,8 @@ class TrainResult:
 
 
 def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
-    """Forward pass and combined loss for one batch of (prefix, target) pairs.
+    """Forward pass and combined loss for one batch of (prefix, target) pairs,
+    a data.Examples container or a list of them, converted once.
 
     The SPL term comes right after propagate, before the sessions are encoded
     and scored: under a tape its forward tiles also take its gradient, and
@@ -50,22 +51,19 @@ def batch_loss(examples, anorm, params: ModelParams, hyper: Hyperparams):
 
     Returns (total Tensor, LossBreakdown).
     """
+    examples = Examples.of(examples)
     x_v = model_mod.propagate(params["item_emb"], anorm, params,
                               hyper.num_layers, hyper.use_attention)
-    prefixes = [ex.prefix for ex in examples]
-    targets = np.array([ex.target for ex in examples], dtype=np.intp)
+    targets = examples.targets
     l_spl = None
     if hyper.use_spl and hyper.beta > 0:
         if hyper.spl_scope == "batch_items":
-            uniq = np.unique(np.concatenate(
-                [np.fromiter((i for p in prefixes for i in p), dtype=np.intp),
-                 targets]))
-            reps = T.select_rows(x_v, uniq)
+            reps = T.select_rows(x_v, np.unique(np.concatenate([examples.items, targets])))
         else:
             reps = x_v
         l_spl = loss_mod.single_positive_loss(reps, hyper.tau)
     parts = [loss_mod.cross_entropy_rows(scores, targets[positions], hyper.ce_form)
-             for positions, scores in model_mod.forward_groups(prefixes, x_v, params, hyper)]
+             for positions, scores in model_mod.forward_groups(examples, x_v, params, hyper)]
     l_ce = T.scale(T.add(*parts), 1.0 / len(examples))
     return loss_mod.total_loss(l_ce, l_spl, hyper.beta)
 
@@ -102,7 +100,7 @@ def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
         perm = rng.permutation(n_train)
         losses = []
         for bi, start in enumerate(range(0, n_train, hyper.batch_size)):
-            batch = [bundle.train[i] for i in perm[start:start + hyper.batch_size]]
+            batch = bundle.train[perm[start:start + hyper.batch_size]]
             with Tape() as tape:
                 total, breakdown = batch_loss(batch, anorm, params, hyper)
                 if not np.isfinite(breakdown.total):

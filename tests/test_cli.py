@@ -7,8 +7,10 @@ import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sessrec import model as M
 from sessrec import tensor as T
 from sessrec import train as TR
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
@@ -459,6 +461,62 @@ def test_eval_non_finite_scores_exit_code(tmp_path, synth_bundle, checkpoint, ca
     assert captured.err == "numeric error: a score is not finite, so no rank is defined\n"
     assert runtime_warnings(recwarn) == []
     assert not out.exists()
+
+@pytest.mark.parametrize("name", [name for name, _ in M.param_shapes(1, Hyperparams(num_layers=1))])
+def test_eval_nan_in_any_parameter_exit_code(tmp_path, synth_bundle, checkpoint, capsys,
+                                             recwarn, name):
+    # ranking skips the check of every score when the session embeddings and
+    # the item table bound them far below the float64 range; a NaN in any
+    # parameter must still end in exit 5
+    params, _, hyper, vhash = TR.load_checkpoint(checkpoint)
+    params[name].data[0, 0] = np.nan
+    broken = tmp_path / "broken.ckpt"
+    TR.save_checkpoint(broken, params, None, hyper, vhash)
+    out = tmp_path / "e.json"
+    assert run("eval", "--checkpoint", str(broken), "--data", str(synth_bundle),
+               "--out", str(out)) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", "numeric error: a score is not finite, so no rank "
+                                       "is defined\n")
+    assert runtime_warnings(recwarn) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "build-graph"])
+def test_bundle_not_utf8_exit_code(tmp_path, synth_bundle, checkpoint, capsys, command):
+    # a bundle saved as UTF-16 starts with the bytes ff fe
+    bundle = tmp_path / "utf16.json"
+    bundle.write_bytes(synth_bundle.read_text(encoding="utf-8").encode("utf-16"))
+    argv = {"eval": ["--checkpoint", str(checkpoint), "--data", str(bundle),
+                     "--out", str(tmp_path / "e.json")],
+            "train": ["--data", str(bundle), "--out", str(tmp_path / "run"), "--d", "4",
+                      "--layers", "1", "--epochs", "1"],
+            "build-graph": ["--in", str(bundle), "--out", str(tmp_path / "g.json")]}
+    assert run(command, *argv[command]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read bundle {bundle}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_events_not_utf8_exit_code(tmp_path, capsys):
+    events = tmp_path / "events.tsv"
+    events.write_bytes(b"s1\ta\t1\ns1\tb\xff\t2\n")
+    assert run("preprocess", "--in", str(events), "--out", str(tmp_path / "b.json"),
+               "--min-item-freq", "1") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {events}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_config_not_utf8_exit_code(tmp_path, synth_bundle, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff{}")
+    assert run("train", "--data", str(synth_bundle), "--out", str(tmp_path / "run"),
+               "--config", str(config)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config {config}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
 
 # {dir} is an existing directory and {file} an existing file
 @pytest.mark.parametrize("argv,path", [

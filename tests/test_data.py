@@ -1,14 +1,18 @@
+import dataclasses
 import gc
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sessrec.data import (DataError, PreprocessConfig, RawEvent, RawSession,
-                          TrainExample, augment, build_sessions, build_vocab,
-                          bundle_from_dict, bundle_to_dict, filter_dataset,
-                          index_sessions, make_bundle, parse_events,
+from sessrec import synth
+from sessrec.data import (DataError, DatasetBundle, Examples, PreprocessConfig, RawEvent,
+                          RawSession, Session, Sessions, TrainExample, augment,
+                          build_sessions, build_vocab, bundle_from_dict, bundle_to_dict,
+                          filter_dataset, index_sessions, make_bundle, parse_events,
                           save_bundle, load_bundle, temporal_split)
 
 
@@ -35,6 +39,12 @@ class TestParseEvents:
     def test_bad_timestamp(self):
         events, errors = parse_events("s1,a,oops", delimiter=",", max_error_ratio=1.0)
         assert events == [] and errors[0][0] == 1
+
+    def test_timestamp_past_int64_is_line_error(self):
+        events, errors = parse_events("s1,a,9223372036854775807\ns1,b,9223372036854775808",
+                                      delimiter=",", max_error_ratio=1.0)
+        assert events == [ev("s1", "a", 2 ** 63 - 1)]
+        assert errors == [(2, "bad timestamp '9223372036854775808'")]
 
     def test_error_ratio_abort(self):
         with pytest.raises(DataError):
@@ -258,8 +268,10 @@ def broken_bundle_doc(draw):
     kind = draw(st.sampled_from(["drop", "retype", "bad_row", "bad_item",
                                  "bad_target", "bad_edge", "bad_weight", "dup_edge",
                                  "empty_prefix"]))
+    # ints past the int64 range fail the array conversion, not a range check
     bad_index = draw(st.one_of(st.integers(n, n + 100), st.integers(-100, -1),
-                               st.sampled_from([1.5, "0", None, True, [0]])))
+                               st.sampled_from([1.5, "0", None, True, [0], 2 ** 63,
+                                                -2 ** 63 - 1, 10 ** 30])))
     if kind == "drop":
         del doc[draw(st.sampled_from(REQUIRED_FIELDS + ["format_version"]))]
     elif kind == "retype":
@@ -320,6 +332,114 @@ class TestBundleValidation:
         finally:
             gc.enable() if was_enabled else gc.disable()
 
+    @pytest.mark.parametrize("start_time", [2 ** 63, -2 ** 63 - 1, 1.5, True])
+    def test_start_time_not_an_int64_is_data_error(self, start_time):
+        doc = valid_bundle_doc()
+        doc["sessions_test"][0][1] = start_time
+        with pytest.raises(DataError, match="sessions_test"):
+            bundle_from_dict(doc)
+
     def test_not_an_object(self):
         with pytest.raises(DataError, match="JSON object"):
             bundle_from_dict([1, 2])
+
+
+class TestContainers:
+    """Sessions and examples held as flat item arrays with offsets give the
+    rows that lists of Session and TrainExample objects hold."""
+
+    FIELDS = ("sessions_train", "sessions_test", "train", "test")
+
+    @classmethod
+    def bundles(cls):
+        """A preprocessed bundle, the same bundle built from lists of rows, and
+        those lists: the sessions from the bundle's JSON and their prefixes
+        expanded one by one."""
+        bundle = make_bundle(events_for([["a", "b", "c", "d"], ["c", "a"], ["b", "c", "a"]],
+                                        repeat=4),
+                             PreprocessConfig(min_item_freq=2, holdout_fraction=0.25))
+        doc = bundle_to_dict(bundle)
+        rows = {f: [Session(items, start) for items, start in doc["sessions_" + f]]
+                for f in ("train", "test")}
+        want = {"sessions_" + f: sessions for f, sessions in rows.items()}
+        want.update({f: [TrainExample(tuple(s.items[:t]), s.items[t])
+                         for s in sessions for t in range(1, len(s.items))]
+                     for f, sessions in rows.items()})
+        listed = DatasetBundle(vocab=bundle.vocab, stats=bundle.stats, config=bundle.config,
+                               **want)
+        return bundle, listed, want
+
+    @staticmethod
+    def python_values(row):
+        if isinstance(row, Session):
+            assert type(row.items) is list and type(row.start_time) is int
+            assert all(type(i) is int for i in row.items)
+        else:
+            assert type(row) is TrainExample and type(row.prefix) is tuple
+            assert type(row.target) is int and all(type(i) is int for i in row.prefix)
+        return row
+
+    def test_lists_become_containers(self):
+        bundle, listed, want = self.bundles()
+        for f in self.FIELDS:
+            rows = getattr(listed, f)
+            assert isinstance(rows, Sessions if f.startswith("sessions") else Examples)
+            assert rows.items.dtype == np.intp and rows.offsets.dtype == np.intp
+            assert len(rows) == len(want[f]) > 1 and rows
+            assert rows == want[f] and getattr(bundle, f) == want[f]
+
+    def test_int_index_slice_index_array_and_iteration(self):
+        bundle, _, wanted = self.bundles()
+        for f in self.FIELDS:
+            rows, want = getattr(bundle, f), wanted[f]
+            assert [self.python_values(r) for r in rows] == want
+            assert [rows[i] for i in range(len(rows))] == want
+            assert [rows[i] for i in range(-len(rows), 0)] == want
+            assert rows[np.int64(1)] == want[1]
+            for key in (slice(None, 3), slice(2, None), slice(None, None, -2), slice(5, 2)):
+                assert list(rows[key]) == want[key]
+            pick = np.array([len(rows) - 1, 0, len(rows) - 1, 1])
+            assert list(rows[pick]) == [want[i] for i in pick]
+            assert list(rows[[1, 2]]) == want[1:3]
+            assert type(rows[:2]) is type(rows) and not rows[:0]
+            assert list(rows + rows[:2]) == want + want[:2]
+            with pytest.raises(IndexError):
+                rows[len(rows)]
+
+    def test_replace_and_assignment_convert(self):
+        bundle, _, want = self.bundles()
+        out = dataclasses.replace(bundle, train=want["train"][:3])
+        assert isinstance(out.train, Examples) and out.train == want["train"][:3]
+        out.test = [TrainExample((0, 1), 2)]
+        assert isinstance(out.test, Examples) and list(out.test) == [TrainExample((0, 1), 2)]
+        out.sessions_train = []
+        assert isinstance(out.sessions_train, Sessions) and not out.sessions_train
+
+    def test_list_built_bundle_saves_the_same_bytes(self, tmp_path):
+        bundle, listed, _ = self.bundles()
+        save_bundle(bundle, tmp_path / "a.json")
+        save_bundle(listed, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        again = load_bundle(tmp_path / "a.json")
+        assert again.train == listed.train and again.sessions_test == listed.sessions_test
+
+    def test_loaded_bundle_memory_per_item(self, tmp_path):
+        # the eval-full benchmark's bundle: 2k items, 12k sessions, about 54k
+        # prefixes; item entries of the sessions and the prefixes are counted
+        bundle, _ = synth.synth_dataset(synth.SynthSpec(n_items=2000, n_sessions=12000,
+                                                        n_chains=200))
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, path)
+        stored = sum(getattr(bundle, f).items.size
+                     for f in ("sessions_train", "sessions_test", "train", "test"))
+        del bundle
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_bundle(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.train) > 40_000 and stored > 200_000
+        assert retained <= 16 * stored
