@@ -128,31 +128,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"sessrec {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="generate a synthetic bundle with planted chains")
+    # synth, preprocess and build-graph store each config flag under its field
+    # and leave a flag not given unset, so the config class declares every default
+    sp = sub.add_parser("synth", help="generate a synthetic bundle with planted chains",
+                        argument_default=argparse.SUPPRESS)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--n-items", type=int, default=200)
-    sp.add_argument("--sessions", type=int, default=2000)
-    sp.add_argument("--chains", type=int, default=20)
-    sp.add_argument("--chain-len", type=int, default=8)
-    sp.add_argument("--noise", type=float, default=0.2)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--n-items", type=int)
+    sp.add_argument("--sessions", type=int, dest="n_sessions")
+    sp.add_argument("--chains", type=int, dest="n_chains")
+    sp.add_argument("--chain-len", type=int)
+    sp.add_argument("--noise", type=float)
+    sp.add_argument("--seed", type=int)
 
-    pp = sub.add_parser("preprocess", help="raw event log -> preprocessed bundle")
+    pp = sub.add_parser("preprocess", help="raw event log -> preprocessed bundle",
+                        argument_default=argparse.SUPPRESS)
     pp.add_argument("--in", dest="infile", required=True)
     pp.add_argument("--out", required=True)
-    pp.add_argument("--delimiter", default="\t")
-    pp.add_argument("--header", action="store_true")
-    pp.add_argument("--max-error-ratio", type=float, default=0.1)
-    pp.add_argument("--min-item-freq", type=int, default=5)
-    pp.add_argument("--min-session-len", type=int, default=2)
-    pp.add_argument("--holdout-fraction", type=float, default=0.1)
-    pp.add_argument("--holdout-window", type=int, default=None)
-    pp.add_argument("--min-prefix-len", type=int, default=1)
+    pp.add_argument("--delimiter")
+    pp.add_argument("--header", action="store_true", dest="has_header")
+    pp.add_argument("--max-error-ratio", type=float)
+    pp.add_argument("--min-item-freq", type=int)
+    pp.add_argument("--min-session-len", type=int)
+    pp.add_argument("--holdout-fraction", type=float)
+    pp.add_argument("--holdout-window", type=int)
+    pp.add_argument("--min-prefix-len", type=int)
 
     gp = sub.add_parser("build-graph", help="attach the global item graph to a bundle")
     gp.add_argument("--in", dest="infile", required=True)
     gp.add_argument("--out", required=True)
-    gp.add_argument("--epsilon", type=int, default=3)
+    gp.add_argument("--epsilon", type=int, default=argparse.SUPPRESS)
     gp.add_argument("--include-test", action="store_true",
                     help="also accumulate edges from test-window sessions")
     gp.add_argument("--export", help="also write a sorted src/dst/weight edge list")
@@ -191,11 +195,16 @@ def _parse_ks(text: str) -> list:
     return ks
 
 
-def cmd_synth(args) -> int:
+def config_from_args(cls, args):
+    """cls built from the flags given, each stored under its field's name; a
+    field with no flag given keeps the class default."""
+    names = {f.name for f in dataclasses.fields(cls)}
     with config_errors():
-        spec = synth_mod.SynthSpec(n_items=args.n_items, n_sessions=args.sessions,
-                                   n_chains=args.chains, chain_len=args.chain_len,
-                                   noise=args.noise, seed=args.seed)
+        return cls(**{k: v for k, v in vars(args).items() if k in names})
+
+
+def cmd_synth(args) -> int:
+    spec = config_from_args(synth_mod.SynthSpec, args)
     bundle, _chains = synth_mod.synth_dataset(spec)
     with output_errors(args.out):
         data_mod.save_bundle(bundle, args.out)
@@ -204,14 +213,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    with config_errors():
-        cfg = PreprocessConfig(delimiter=args.delimiter, has_header=args.header,
-                               max_error_ratio=args.max_error_ratio,
-                               min_item_freq=args.min_item_freq,
-                               min_session_len=args.min_session_len,
-                               holdout_fraction=args.holdout_fraction,
-                               holdout_window=args.holdout_window,
-                               min_prefix_len=args.min_prefix_len)
+    cfg = config_from_args(PreprocessConfig, args)
     try:
         with open(args.infile, "r", encoding="utf-8") as f:
             events, errors = data_mod.parse_events(
@@ -229,22 +231,21 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    with config_errors():
-        cfg = graph_mod.GraphConfig(args.epsilon)
+    cfg = config_from_args(graph_mod.GraphConfig, args)
     bundle = data_mod.load_bundle(args.infile)
     sessions = bundle.sessions_train
     if args.include_test:
         sessions = sessions + bundle.sessions_test
     graph = graph_mod.build_global_graph(sessions, bundle.vocab.n, cfg)
     bundle.graph = graph
-    bundle.graph_epsilon = args.epsilon
+    bundle.graph_epsilon = cfg.epsilon
     with output_errors(args.out):
         data_mod.save_bundle(bundle, args.out)
     if args.export:
         with output_errors(args.export):
             Path(args.export).write_text(graph_mod.export_edge_list(graph),
                                          encoding="utf-8")
-    print(json.dumps(graph_mod.graph_stats(graph) | {"epsilon": args.epsilon},
+    print(json.dumps(graph_mod.graph_stats(graph) | {"epsilon": cfg.epsilon},
                      sort_keys=True, default=str))
     return EXIT_OK
 
@@ -343,6 +344,11 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:
+        # a size no host can hold, such as --n-items 10**15, fails its first
+        # allocation at once
+        print(f"config error: cannot allocate: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -174,11 +174,15 @@ def encode_session(items: np.ndarray, lengths: np.ndarray, xw: Tensor, pw: Tenso
 def session_attention(xstar: Tensor, lengths: np.ndarray, params: ModelParams) -> Tensor:
     """Soft attention pooling per session of lengths[s] consecutive rows:
     theta = sum_t a_t x_t*, a_t unnormalized. sum(lengths) x d -> len(lengths) x d."""
-    xs = T.scale(T.sum_blocks(xstar, lengths), 1.0 / lengths[:, None])  # means
+    if (lengths < 1).any():
+        raise T.ShapeError(f"session_attention: empty session in lengths {lengths}")
+    g = lengths.size
+    session = np.repeat(np.arange(g), lengths)     # each row's session
+    xs = T.scale(T.sum_rows(xstar, session, g), 1.0 / lengths[:, None])  # means
     h = T.sigmoid(T.add(T.matmul(xstar, params["w3"]),
-                        T.repeat_rows(T.matmul(xs, params["w2"]), lengths), params["c"]))
+                        T.select_rows(T.matmul(xs, params["w2"]), session), params["c"]))
     a = T.matmul(h, params["q"])                    # sum(lengths) x 1
-    return T.sum_blocks(T.mul(xstar, a), lengths)
+    return T.sum_rows(T.mul(xstar, a), session, g)
 
 
 def score(theta: Tensor, x_vt: Tensor) -> Tensor:

@@ -78,9 +78,7 @@ def synth_dataset(spec: SynthSpec | None = None):
     """
     spec = spec or SynthSpec()
     events, chains = synth_events(spec)
-    cfg = data_mod.PreprocessConfig(min_item_freq=1, min_session_len=2,
-                                    holdout_fraction=0.1, min_prefix_len=1)
-    bundle = data_mod.make_bundle(events, cfg)
+    bundle = data_mod.make_bundle(events, data_mod.PreprocessConfig(min_item_freq=1))
     return bundle, chains
 
 

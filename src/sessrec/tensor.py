@@ -246,60 +246,44 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def select_rows(x: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("select_rows: indices must be one-dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"select_rows: index out of range for {x.shape[0]} rows")
+def _row_index(index, count: int | None, rows: int, op: str) -> np.ndarray:
+    """index as a one-dimensional intp array of entries in range(rows), and
+    of count entries unless count is None."""
+    idx = np.asarray(index)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ShapeError(f"{op}: the index must be a one-dimensional integer array")
+    if count is not None and idx.size != count:
+        raise ShapeError(f"{op}: {idx.size} indices do not match {count} rows")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise IndexError(f"{op}: index out of range for {rows} rows")
+    return idx.astype(np.intp, copy=False)
+
+
+def _scatter_add(a: np.ndarray, idx: np.ndarray, rows: int) -> np.ndarray:
+    """rows x d: row r adds, in index order and from +0.0, every row i of a with
+    idx[i] == r. One np.bincount over flat (row, column) indices adds in the
+    order np.add.at does, with its bytes and a fraction of its time, and
+    np.add.reduceat along axis 0 does not add in row order."""
+    d = a.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, a.ravel(), rows * d).reshape(rows, d)
+
+
+def select_rows(x: Tensor, index) -> Tensor:
+    """Row index[i] of x as row i: the gather, whose adjoint is sum_rows."""
+    rows = x.shape[0]
+    idx = _row_index(index, None, rows, "select_rows")
     out = Tensor(x.data[idx])
-    rows, cols = x.shape
-
-    def vjp(g):
-        # one bincount over flat (row, column) indices adds in index order, as
-        # np.add.at does, with the same bytes and a fraction of its time
-        flat = (idx[:, None] * cols + np.arange(cols)).ravel()
-        return (np.bincount(flat, g.ravel(), rows * cols).reshape(rows, cols),)
-
-    Tape._record(out, (x,), vjp)
+    Tape._record(out, (x,), lambda g: (_scatter_add(g, idx, rows),))
     return out
 
 
-def _block_lengths(lengths, x: Tensor, op: str, per_row: bool) -> np.ndarray:
-    """Positive integer block sizes that split the rows of x, or with per_row,
-    one count per row of x."""
-    n = np.asarray(lengths)
-    if (n.ndim != 1 or n.size == 0 or n.dtype.kind not in "iu" or n.min() < 1
-            or (n.size if per_row else n.sum()) != x.shape[0]):
-        raise ShapeError(f"{op}: lengths {n} do not fit {x.shape[0]} rows")
-    return n
-
-
-def _add_blocks(a: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum each consecutive block of rows of a, block b holding lengths[b] rows,
-    adding its rows in order from +0.0 (so a one-row block of -0.0 sums to
-    +0.0): one np.bincount over flat (block, column) indices. np.add.reduceat
-    along axis 0 does not add in row order."""
-    blocks, d = len(lengths), a.shape[1]
-    flat = (np.repeat(np.arange(blocks) * d, lengths)[:, None] + np.arange(d)).ravel()
-    return np.bincount(flat, a.ravel(), blocks * d).reshape(blocks, d)
-
-
-def sum_blocks(x: Tensor, lengths) -> Tensor:
-    """Sum each consecutive block of rows, block b holding lengths[b] rows,
-    in row order: sum(lengths) x d -> len(lengths) x d."""
-    lengths = _block_lengths(lengths, x, "sum_blocks", per_row=False)
-    out = Tensor(_add_blocks(x.data, lengths))
-    Tape._record(out, (x,), lambda g: (np.repeat(g, lengths, axis=0),))
-    return out
-
-
-def repeat_rows(x: Tensor, lengths) -> Tensor:
-    """Repeat row b lengths[b] times, rows kept in order: len(lengths) x d ->
-    sum(lengths) x d; the adjoint of sum_blocks."""
-    lengths = _block_lengths(lengths, x, "repeat_rows", per_row=True)
-    out = Tensor(np.repeat(x.data, lengths, axis=0))
-    Tape._record(out, (x,), lambda g: (_add_blocks(g, lengths),))
+def sum_rows(x: Tensor, index, rows: int) -> Tensor:
+    """rows x d: row r sums, in order and from +0.0, every row i of x with
+    index[i] == r (a row no index hits is +0.0); the adjoint of select_rows."""
+    idx = _row_index(index, x.shape[0], rows, "sum_rows")
+    out = Tensor(_scatter_add(x.data, idx, rows))
+    Tape._record(out, (x,), lambda g: (g[idx],))
     return out
 
 

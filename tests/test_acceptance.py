@@ -181,10 +181,8 @@ def test_criterion_2_gradient_correctness(monkeypatch):
             lambda: T.softmax_cross_entropy(z, np.array([2, 0, 1]), False), [z]),
         "select_rows": lambda x=r(5, 3): (
             lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x]),
-        "sum_blocks": lambda x=r(6, 3): (
-            lambda: T.sum_all(T.tanh(T.sum_blocks(x, [1, 2, 3]))), [x]),
-        "repeat_rows": lambda x=r(3, 3): (
-            lambda: T.sum_all(T.tanh(T.repeat_rows(x, [1, 2, 3]))), [x]),
+        "sum_rows": lambda x=r(6, 3): (
+            lambda: T.sum_all(T.tanh(T.sum_rows(x, [2, 0, 2, 1, 0, 2], 4))), [x]),
         "sum_all": lambda x=r(3, 3): (lambda: T.sum_all(x), [x]),
         "transpose": lambda x=r(2, 5): (
             lambda: T.sum_all(T.tanh(T.transpose(x))), [x]),

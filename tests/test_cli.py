@@ -14,8 +14,9 @@ from sessrec import model as M
 from sessrec import tensor as T
 from sessrec import train as TR
 from sessrec.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC,
-                         EXIT_OK, build_parser, main)
+                         EXIT_OK, build_parser, config_from_args, main)
 from sessrec.data import PreprocessConfig
+from sessrec.graph import GraphConfig
 from sessrec.model import Hyperparams
 from sessrec.synth import SynthSpec
 from conftest import rewrite_meta
@@ -378,22 +379,52 @@ def readme_commands():
             if line.startswith("sessrec ")]
 
 
-def train_flags():
-    """{first option string: argparse action} for every option of `sessrec train`."""
+def command_flags(command="train"):
+    """{first option string: argparse action} for every option of `sessrec COMMAND`."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.option_strings[0]: a for a in sub.choices["train"]._actions if a.option_strings}
+    return {a.option_strings[0]: a for a in sub.choices[command]._actions if a.option_strings}
 
 
 def test_every_hyperparameter_is_the_dest_of_one_train_flag():
-    dests = Counter(a.dest for a in train_flags().values())
+    dests = Counter(a.dest for a in command_flags().values())
     assert {name: dests[name] for name in HYPER_FIELDS} == dict.fromkeys(HYPER_FIELDS, 1)
+
+
+CONFIG_COMMANDS = [("synth", SynthSpec, []), ("preprocess", PreprocessConfig, ["--in", "e"]),
+                   ("build-graph", GraphConfig, ["--in", "b"])]
+
+
+@pytest.mark.parametrize("command, cls, required", CONFIG_COMMANDS,
+                         ids=[c for c, _, _ in CONFIG_COMMANDS])
+def test_each_config_flag_sets_one_field_and_defaults_come_from_the_class(command, cls,
+                                                                         required):
+    fields = {f.name for f in dataclasses.fields(cls)}
+    dests = Counter(a.dest for a in command_flags(command).values())
+    assert {name: dests[name] for name in fields & set(dests)} == \
+        dict.fromkeys(fields & set(dests), 1)
+    # the other flags name an input, an output or an action, not a setting
+    assert set(dests) - fields <= {"help", "infile", "out", "include_test", "export"}
+    args = build_parser().parse_args([command, *required, "--out", "o"])
+    assert config_from_args(cls, args) == cls()
+    assert fields.isdisjoint(vars(args))
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_size_that_cannot_be_allocated_exit_code(tmp_path, synth_bundle, capsys, command):
+    # 10**15 rows take petabytes, more than any 64-bit address space maps, so
+    # the first allocation fails at once and nothing is allocated
+    flags = {"synth": ["--n-items", str(10 ** 15)],
+             "train": ["--data", str(synth_bundle), "--max-session-len", str(10 ** 15)]}
+    assert run(command, "--out", str(tmp_path / "out"), *flags[command]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: cannot allocate")
 
 
 def test_readme_flag_table_matches_the_parser():
     rows = re.findall(r"^\| `(--[a-z0-9-]+)` \| `([a-z0-9_]+)(: false)?` \|$",
                       README.read_text(), re.MULTILINE)
     table = {flag: (key, bool(false)) for flag, key, false in rows}
-    want = {flag: (a.dest, a.const is False) for flag, a in train_flags().items()
+    want = {flag: (a.dest, a.const is False) for flag, a in command_flags().items()
             if a.dest in HYPER_FIELDS}
     assert len(rows) == len(table) and table == want
 

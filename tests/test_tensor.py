@@ -8,6 +8,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessrec import loss as L
 from sessrec import model as M
@@ -318,36 +320,33 @@ def test_add_and_mul_reject_terms_that_do_not_broadcast(op, x_shape, term_shape)
             T.add(x, x, term)
 
 
-def test_sum_blocks_and_repeat_rows_are_adjoint():
+def test_sum_rows_and_select_rows_are_adjoint():
     x = Tensor(np.arange(12.0).reshape(6, 2))
-    np.testing.assert_array_equal(T.sum_blocks(x, [3, 3]).data, [[6.0, 9.0], [24.0, 27.0]])
-    y = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(T.repeat_rows(y, [2, 2]).data,
-                                  [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]])
-    # <sum_blocks(x), y> == <x, repeat_rows(y)>
-    assert np.sum(T.sum_blocks(x, [3, 3]).data * y.data) == \
-        np.sum(x.data * T.repeat_rows(y, [3, 3]).data)
-    with pytest.raises(ShapeError, match="do not fit 6 rows"):
-        T.sum_blocks(x, [4, 4])
+    np.testing.assert_array_equal(T.sum_rows(x, [0, 0, 0, 1, 1, 1], 2).data,
+                                  [[6.0, 9.0], [24.0, 27.0]])
+    # rows in any order; row 1 and row 3, which no index hits, are +0.0
+    index = [2, 0, 2, 0, 2, 0]
+    np.testing.assert_array_equal(T.sum_rows(x, index, 4).data,
+                                  [[18.0, 21.0], [0.0, 0.0], [12.0, 15.0], [0.0, 0.0]])
+    y = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    np.testing.assert_array_equal(T.select_rows(y, [1, 1, 3]).data,
+                                  [[3.0, 4.0], [3.0, 4.0], [7.0, 8.0]])
+    # <sum_rows(x), y> == <x, select_rows(y)>
+    assert np.sum(T.sum_rows(x, index, 4).data * y.data) == \
+        np.sum(x.data * T.select_rows(y, index).data)
+    with pytest.raises(ShapeError, match="4 indices do not match 6 rows"):
+        T.sum_rows(x, [0, 0, 1, 1], 2)
 
 
-def test_ragged_sum_blocks_and_repeat_rows_are_adjoint():
+def test_each_of_sum_rows_and_select_rows_backs_the_other():
     x = Tensor(np.arange(12.0).reshape(6, 2))
-    lengths = np.array([1, 2, 3])
-    np.testing.assert_array_equal(T.sum_blocks(x, lengths).data,
-                                  [[0.0, 1.0], [6.0, 8.0], [24.0, 27.0]])
     y = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_array_equal(T.repeat_rows(y, lengths).data,
-                                  [[1.0, 2.0], [3.0, 4.0], [3.0, 4.0],
-                                   [5.0, 6.0], [5.0, 6.0], [5.0, 6.0]])
-    assert np.sum(T.sum_blocks(x, lengths).data * y.data) == \
-        np.sum(x.data * T.repeat_rows(y, lengths).data)
-    # each one's backward is the other
+    index = np.array([0, 1, 1, 2, 2, 2])
     with Tape() as tape:
-        s, r = T.sum_blocks(x, lengths), T.repeat_rows(y, lengths)
-    ((_, _, sum_vjp), (_, _, repeat_vjp)) = tape.records
+        s, r = T.sum_rows(x, index, 3), T.select_rows(y, index)
+    ((_, _, sum_vjp), (_, _, select_vjp)) = tape.records
     np.testing.assert_array_equal(sum_vjp(y.data)[0], r.data)
-    np.testing.assert_array_equal(repeat_vjp(x.data)[0], s.data)
+    np.testing.assert_array_equal(select_vjp(x.data)[0], s.data)
 
 
 def in_order_block_sums(a, lengths):
@@ -362,19 +361,37 @@ def in_order_block_sums(a, lengths):
 
 
 def test_block_sums_add_each_block_in_row_order():
+    # sessions laid end to end, summed by sum_rows and by select_rows' backward;
     # magnitudes from 1e-8 to 1e8, so that another order of the same terms
     # rounds differently; one-row blocks of -0.0 sum to +0.0
     rng = np.random.default_rng(9)
     lengths = np.concatenate([rng.integers(1, 40, size=60), [1, 1, 3]])
+    session = np.repeat(np.arange(len(lengths)), lengths)
     x = rng.standard_normal((lengths.sum(), 7)) * 10.0 ** rng.integers(-8, 9, (lengths.sum(), 7))
     x[-5] = -0.0                     # the first one-row block
     want = in_order_block_sums(x, lengths)
-    assert T.sum_blocks(Tensor(x), lengths).data.tobytes() == want.tobytes()
+    assert T.sum_rows(Tensor(x), session, len(lengths)).data.tobytes() == want.tobytes()
     with Tape() as tape:
-        T.repeat_rows(Tensor(np.zeros((len(lengths), 7))), lengths)
+        T.select_rows(Tensor(np.zeros((len(lengths), 7))), session)
     ((_, _, vjp),) = tape.records
     assert vjp(x)[0].tobytes() == want.tobytes()
     assert not np.signbit(want[-3]).any() and want[-3].tolist() == [0.0] * 7
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_rows_is_the_adjoint_of_select_rows_on_integers(data):
+    # integer-valued entries keep every sum exact, so both sides agree bit for bit
+    n, m, d = (data.draw(st.integers(lo, 6)) for lo in (0, 1, 1))
+    index = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)),
+                     dtype=np.intp)
+    entries = st.integers(-1000, 1000).map(float)
+    x = np.array(data.draw(st.lists(entries, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(data.draw(st.lists(entries, min_size=m * d, max_size=m * d))).reshape(m, d)
+    s = T.sum_rows(Tensor(x), index, m).data
+    assert np.sum(s * y) == np.sum(x * T.select_rows(Tensor(y), index).data)
+    missed = np.setdiff1d(np.arange(m), index)
+    assert (s[missed] == 0.0).all() and not np.signbit(s[missed]).any()
 
 
 @pytest.mark.parametrize("rows", [200, 50, 2000])
@@ -392,19 +409,21 @@ def test_select_rows_backward_matches_add_at_bytes(rows):
     assert vjp(g)[0].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("lengths", [[1, 0, 5], [0, 6], [2, 2], [3, 4], [6.0], [],
-                                     [[3, 3]]])
-def test_block_lengths_that_do_not_split_the_rows(lengths):
-    # zero-length blocks, totals that do not match, floats, no blocks, a matrix
-    x = Tensor(np.ones((6, 2)))
-    with pytest.raises(ShapeError, match="do not fit 6 rows"):
-        T.sum_blocks(x, lengths)
+@pytest.mark.parametrize("index, error", [
+    ([0, 1, 3, 0, 1, 2], IndexError), ([0, -1, 0, 1, 1, 2], IndexError),
+    ([0, 1, 2], ShapeError), ([0] * 7, ShapeError), ([0.0] * 6, ShapeError),
+    ([], ShapeError), ([[0, 0, 0], [1, 1, 1]], ShapeError)])
+def test_sum_rows_rejects_an_index_that_does_not_fit(index, error):
+    # out of range, too few, too many, floats, none, a matrix
+    with pytest.raises(error, match="sum_rows"):
+        T.sum_rows(Tensor(np.ones((6, 2))), index, 3)
 
 
-@pytest.mark.parametrize("lengths", [[1, 0], [2], [1, 1, 1], [-1, 3]])
-def test_repeat_counts_that_do_not_match_the_rows(lengths):
-    with pytest.raises(ShapeError, match="do not fit 2 rows"):
-        T.repeat_rows(Tensor(np.ones((2, 3))), lengths)
+@pytest.mark.parametrize("index, error", [
+    ([0, 2], IndexError), ([-1], IndexError), ([0.5], ShapeError), ([[0, 1]], ShapeError)])
+def test_select_rows_rejects_a_bad_index(index, error):
+    with pytest.raises(error, match="select_rows"):
+        T.select_rows(Tensor(np.ones((2, 3))), index)
 
 
 def test_forward_determinism():
@@ -472,13 +491,10 @@ class TestPrimitiveGradients:
         x = rand(self.rng, 5, 3)
         _check(lambda: T.sum_all(T.tanh(T.select_rows(x, [0, 2, 2, 4]))), [x])
 
-    def test_sum_blocks(self):
+    def test_sum_rows(self):
+        # rows out of order, with repeats and with a row no index hits
         x = rand(self.rng, 6, 3)
-        _check(lambda: T.sum_all(T.tanh(T.sum_blocks(x, [1, 2, 3]))), [x])
-
-    def test_repeat_rows(self):
-        x = rand(self.rng, 3, 3)
-        _check(lambda: T.sum_all(T.tanh(T.repeat_rows(x, [1, 2, 3]))), [x])
+        _check(lambda: T.sum_all(T.tanh(T.sum_rows(x, [2, 0, 2, 1, 0, 2], 4))), [x])
 
     def test_transpose(self):
         x = rand(self.rng, 2, 5)
