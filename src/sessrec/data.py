@@ -14,7 +14,6 @@ from __future__ import annotations
 import gc
 import json
 import numbers
-import operator
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -125,13 +124,6 @@ class Ragged:
         runs = map(items.__getitem__, map(slice, offsets, offsets[1:]))
         return map(self._row, runs, self.values.tolist())
 
-    def __eq__(self, other):
-        """Row by row, against a container or a sequence of rows."""
-        try:
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        except TypeError:
-            return NotImplemented
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -205,10 +197,6 @@ class PreprocessConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-_CONTAINERS = {"sessions_train": Sessions, "sessions_test": Sessions,
-               "train": Examples, "test": Examples}
-
-
 @dataclass
 class DatasetBundle:
     vocab: Vocab
@@ -220,11 +208,6 @@ class DatasetBundle:
     config: dict = field(default_factory=dict)
     graph: object = None          # optional GlobalGraph, attached by build-graph
     graph_epsilon: int | None = None
-
-    def __setattr__(self, name, value):
-        """Sessions and examples given as lists of rows become containers."""
-        kind = _CONTAINERS.get(name)
-        super().__setattr__(name, value if kind is None else kind.of(value))
 
 
 def parse_events(stream, delimiter: str = "\t", has_header: bool = False,
@@ -348,11 +331,6 @@ def prefix_examples(sessions, min_prefix_len: int = 1) -> Examples:
     return Examples(*_gather(items, starts, t), items[starts + t])
 
 
-def augment(items, min_prefix_len: int = 1) -> Examples:
-    """All (items[:t], items[t]) pairs for t in [min_prefix_len, m-1]."""
-    return prefix_examples([items], min_prefix_len)
-
-
 def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle:
     """End-to-end preprocessing: events -> DatasetBundle."""
     config = config or PreprocessConfig()
@@ -465,7 +443,7 @@ def bundle_from_dict(doc: dict) -> DatasetBundle:
     if not isinstance(doc, dict):
         raise DataError("a bundle must be a JSON object")
     version = doc.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
+    if type(version) is not int or version != BUNDLE_FORMAT_VERSION:
         raise DataError(f"unsupported bundle format version {version!r}")
     keys = _field(doc, "vocab", list)
     if not set(map(type, keys)) <= {str}:

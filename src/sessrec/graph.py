@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from . import data as data_mod
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphConfig:
     epsilon: int = 3
 
@@ -49,14 +49,11 @@ def build_global_graph(sessions, n: int, config: GraphConfig | None = None) -> G
     """Accumulate hop-discounted edge weights over all sessions.
 
     sessions: a data.Sessions container, whose flat arrays are read directly,
-    or an iterable of item-index lists (or of objects with an .items list),
-    laid end to end once.
+    or a sequence of item-index lists, laid end to end once (data.flat).
     Each edge's contributions are summed in occurrence order (session, then
     position, then hop), so the weights do not depend on how edges are stored.
     """
     config = config or GraphConfig()
-    if not isinstance(sessions, data_mod.Ragged):
-        sessions = [getattr(s, "items", s) for s in sessions]
     items, offsets = data_mod.flat(sessions)
     lengths = np.diff(offsets)
     session = np.repeat(np.arange(lengths.size), lengths)

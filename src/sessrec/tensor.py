@@ -388,12 +388,13 @@ def softmax_cross_entropy(z: Tensor, targets, binary: bool) -> Tensor:
 # online softmax recurrence. Attention saves the n x 1 row log-normaliser, and
 # its backward pass recomputes each tile's probabilities as exp(scores - lse),
 # then overwrites them with dS, taking dO X^T an eighth of a tile at a time.
-# The Gram log-sum-exp is a scalar loss, so under a recording tape its forward
-# tiles take the gradient for a unit cotangent as they go and the record
-# keeps that n x d array: it has no backward tiles (fused loss kernels such as
-# Liger Kernel's linear cross-entropy, Hsu et al. 2024, do the same). Peak
-# memory is the inputs plus one tile of about TILE_ENTRIES entries per thread
-# at work, never an n x n array (FlashAttention, Dao et al. 2022).
+# The Gram log-sum-exp is a scalar loss, so its forward tiles take the
+# gradient for a unit cotangent as they go, whether or not a tape records,
+# and a recording tape keeps that n x d array: it has no backward tiles (fused
+# loss kernels such as Liger Kernel's linear cross-entropy, Hsu et al. 2024,
+# do the same). Peak memory is the inputs plus one tile of about TILE_ENTRIES
+# entries per thread at work, never an n x n array (FlashAttention, Dao et
+# al. 2022).
 #
 # The tiles are independent, so _tile_map runs them on up to WORKERS threads
 # (FlashAttention-2, Dao 2023); numpy releases the GIL inside BLAS calls and
@@ -555,37 +556,30 @@ def attention(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def gram_logsumexp(x: Tensor, c: float) -> Tensor:
     """sum_i logsumexp_j(c x_i . x_j) over all row pairs: n x d -> 1 x 1.
 
-    With no tape recording, the tiles compute the row log-sum-exps alone.
-    Under a recording Tape each forward tile also turns its exponentials into
+    Each forward tile takes its row log-sum-exps, turns its exponentials into
     the row softmax P of c X X^T and takes its rows of P X and its column term
     X^T P, so the gradient for a unit cotangent, c (P + P^T) X, is ready when
-    the forward ends. The record keeps that n x d array, and its VJP scales
-    it by the 1 x 1 cotangent: no tile is rebuilt in backward. The value has
-    the same bytes either way.
+    the forward ends. A recording Tape keeps that n x d array, and its VJP
+    scales it by the 1 x 1 cotangent: no tile is rebuilt in backward.
     """
     xd = x.data
     n, d = xd.shape
     lse = np.empty((n, 1))
-    recording = bool(Tape._stack)
-    if recording:
-        dx, dxt = np.empty_like(xd), np.zeros((d, n))
+    dx, dxt = np.empty_like(xd), np.zeros((d, n))
 
     def forward_tile(t):
         s = xd[t] @ xd.T
         s *= c
         lse[t], total = _exp_rows_(s)
-        if recording:
-            s /= total   # the tile's P
-            dx[t] = s @ xd
-            return xd[t].T @ s
+        s /= total   # the tile's P
+        dx[t] = s @ xd
+        return xd[t].T @ s
 
     for xp in _tile_map(forward_tile, _row_tiles(n)):
-        if recording:
-            dxt += xp
+        dxt += xp
+    dx += dxt.T
     out = Tensor(np.array([[lse.sum()]]))
-    if recording:
-        dx += dxt.T
-        Tape._record(out, (x,), lambda g: (dx * (g[0, 0] * c),))
+    Tape._record(out, (x,), lambda g: (dx * (g[0, 0] * c),))
     return out
 
 

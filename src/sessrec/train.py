@@ -185,13 +185,15 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupted checkpoint metadata in {path}") from e
     version = meta.get("format_version") if isinstance(meta, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} unsupported")
     try:
         vhash, adam_t, num_layers = meta["vocab_hash"], meta["adam_t"], meta["num_layers"]
         hyper = Hyperparams(**meta["hyper"])
-        specs = [(spec["name"].partition("/"), int(spec["rows"]), int(spec["cols"]),
-                  int(spec["offset"])) for spec in meta["arrays"]]
+        specs = [(spec["name"].partition("/"), spec["rows"], spec["cols"], spec["offset"])
+                 for spec in meta["arrays"]]
+        if any(type(v) is not int for spec in specs for v in spec[1:]):
+            raise TypeError("array rows, cols and offset must be integers")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise CheckpointError(f"malformed checkpoint metadata in {path}: {e!r}") from e
     if expected_vocab_hash is not None and vhash != expected_vocab_hash:

@@ -9,21 +9,21 @@ import numpy as np
 import pytest
 
 from sessrec import tensor as T
-from sessrec.data import DatasetBundle, Session, TrainExample, Vocab, augment
+from sessrec.data import DatasetBundle, Session, Sessions, Vocab, prefix_examples
 from sessrec.train import CHECKPOINT_MAGIC
 
 
 def indexed_bundle(sessions, n, test_sessions=None, min_prefix_len=1):
     """Build a DatasetBundle directly from already-indexed sessions."""
     vocab = Vocab([f"k{i}" for i in range(n)])
-    train_sessions = [Session(items=list(s), start_time=i * 10)
-                      for i, s in enumerate(sessions)]
-    test_sessions = [Session(items=list(s), start_time=10_000 + i * 10)
-                     for i, s in enumerate(test_sessions or [])]
-    train = [ex for s in train_sessions for ex in augment(s.items, min_prefix_len)]
-    test = [ex for s in test_sessions for ex in augment(s.items, min_prefix_len)]
+    train_sessions = Sessions.of(Session(items=list(s), start_time=i * 10)
+                                 for i, s in enumerate(sessions))
+    test_sessions = Sessions.of(Session(items=list(s), start_time=10_000 + i * 10)
+                                for i, s in enumerate(test_sessions or []))
     return DatasetBundle(vocab=vocab, sessions_train=train_sessions,
-                         sessions_test=test_sessions, train=train, test=test,
+                         sessions_test=test_sessions,
+                         train=prefix_examples(train_sessions, min_prefix_len),
+                         test=prefix_examples(test_sessions, min_prefix_len),
                          stats={"n_items": n}, config={})
 
 

@@ -429,7 +429,7 @@ def test_readme_flag_table_matches_the_parser():
     assert len(rows) == len(table) and table == want
 
 
-@pytest.mark.parametrize("cls", [Hyperparams, PreprocessConfig, SynthSpec])
+@pytest.mark.parametrize("cls", [Hyperparams, PreprocessConfig, SynthSpec, GraphConfig])
 def test_configs_are_frozen(cls):
     config, name = cls(), dataclasses.fields(cls)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -473,6 +473,45 @@ def checkpoint(tmp_path_factory, synth_bundle):
                "--layers", "1", "--epochs", "1", "--batch", "4") == EXIT_OK
     return out / "last.ckpt"
 
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+def test_bundle_version_not_an_integer_exit_code(tmp_path, synth_bundle, checkpoint, capsys,
+                                                 version):
+    # JSON true and 1.0 both compare equal to 1
+    bundle = tmp_path / "b.json"
+    bundle.write_text(json.dumps(dict(json.loads(synth_bundle.read_text()),
+                                      format_version=version)))
+    assert run("eval", "--checkpoint", str(checkpoint), "--data", str(bundle),
+               "--out", str(tmp_path / "e.json")) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: unsupported bundle format version "
+                                       f"{version!r}\n")
+
+
+def first_array(edit):
+    """A metadata edit that passes the first array spec through edit."""
+    return lambda m: dict(m, arrays=[edit(m["arrays"][0]), *m["arrays"][1:]])
+
+
+HEADER_EDITS = {
+    "version-bool": lambda m: dict(m, format_version=True),
+    "version-float": lambda m: dict(m, format_version=1.0),
+    "rows-string": first_array(lambda a: dict(a, rows=str(a["rows"]))),
+    "cols-float": first_array(lambda a: dict(a, cols=float(a["cols"]))),
+    "offset-string": first_array(lambda a: dict(a, offset=str(a["offset"]))),
+}
+
+
+@pytest.mark.parametrize("edit", HEADER_EDITS.values(), ids=HEADER_EDITS.keys())
+def test_checkpoint_header_not_an_integer_exit_code(tmp_path, synth_bundle, checkpoint,
+                                                    capsys, edit):
+    # int() reads "1" and 4.0 as sizes, and JSON true and 1.0 compare equal to 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(rewrite_meta(checkpoint.read_bytes(), edit))
+    out = tmp_path / "e.json"
+    assert run("eval", "--checkpoint", str(bad), "--data", str(synth_bundle),
+               "--out", str(out)) == EXIT_CHECKPOINT
+    assert capsys.readouterr().err.startswith("checkpoint error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), 1e200], ids=["nan", "overflow"])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from sessrec import synth
 from sessrec.data import (DataError, DatasetBundle, Examples, PreprocessConfig, RawEvent,
-                          RawSession, Session, Sessions, TrainExample, augment,
-                          build_sessions, build_vocab, bundle_from_dict, bundle_to_dict,
-                          filter_dataset, index_sessions, make_bundle, parse_events,
+                          RawSession, Session, Sessions, TrainExample, build_sessions,
+                          build_vocab, bundle_from_dict, bundle_to_dict, filter_dataset,
+                          index_sessions, make_bundle, parse_events, prefix_examples,
                           save_bundle, load_bundle, temporal_split)
 
 
@@ -149,18 +149,19 @@ class TestTemporalSplit:
 
 class TestAugment:
     def test_default_prefixes(self):
-        assert augment([7, 8, 9]) == [TrainExample((7,), 8), TrainExample((7, 8), 9)]
+        assert list(prefix_examples([[7, 8, 9]])) == [TrainExample((7,), 8),
+                                                      TrainExample((7, 8), 9)]
 
     def test_min_prefix_two_matches_displayed_scheme(self):
-        assert augment([7, 8, 9], min_prefix_len=2) == [TrainExample((7, 8), 9)]
+        assert list(prefix_examples([[7, 8, 9]], 2)) == [TrainExample((7, 8), 9)]
 
     def test_too_short_yields_empty(self):
-        assert augment([7, 8], min_prefix_len=2) == []
+        assert list(prefix_examples([[7, 8]], 2)) == []
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 30), st.integers(1, 5))
     def test_count_formula(self, m, p):
-        assert len(augment(list(range(m)), p)) == max(0, m - p)
+        assert len(prefix_examples([list(range(m))], p)) == max(0, m - p)
 
 
 class TestBuildVocab:
@@ -349,12 +350,14 @@ class TestContainers:
     rows that lists of Session and TrainExample objects hold."""
 
     FIELDS = ("sessions_train", "sessions_test", "train", "test")
+    KINDS = {"sessions_train": Sessions, "sessions_test": Sessions,
+             "train": Examples, "test": Examples}
 
     @classmethod
     def bundles(cls):
-        """A preprocessed bundle, the same bundle built from lists of rows, and
-        those lists: the sessions from the bundle's JSON and their prefixes
-        expanded one by one."""
+        """A preprocessed bundle, the same bundle built from containers of
+        lists of rows, and those lists: the sessions from the bundle's JSON
+        and their prefixes expanded one by one."""
         bundle = make_bundle(events_for([["a", "b", "c", "d"], ["c", "a"], ["b", "c", "a"]],
                                         repeat=4),
                              PreprocessConfig(min_item_freq=2, holdout_fraction=0.25))
@@ -366,7 +369,7 @@ class TestContainers:
                          for s in sessions for t in range(1, len(s.items))]
                      for f, sessions in rows.items()})
         listed = DatasetBundle(vocab=bundle.vocab, stats=bundle.stats, config=bundle.config,
-                               **want)
+                               **{f: cls.KINDS[f].of(rows) for f, rows in want.items()})
         return bundle, listed, want
 
     @staticmethod
@@ -383,10 +386,10 @@ class TestContainers:
         bundle, listed, want = self.bundles()
         for f in self.FIELDS:
             rows = getattr(listed, f)
-            assert isinstance(rows, Sessions if f.startswith("sessions") else Examples)
+            assert type(rows) is self.KINDS[f] and self.KINDS[f].of(rows) is rows
             assert rows.items.dtype == np.intp and rows.offsets.dtype == np.intp
             assert len(rows) == len(want[f]) > 1 and rows
-            assert rows == want[f] and getattr(bundle, f) == want[f]
+            assert list(rows) == want[f] and list(getattr(bundle, f)) == want[f]
 
     def test_int_index_slice_index_array_and_iteration(self):
         bundle, _, wanted = self.bundles()
@@ -406,14 +409,12 @@ class TestContainers:
             with pytest.raises(IndexError):
                 rows[len(rows)]
 
-    def test_replace_and_assignment_convert(self):
+    def test_replace_with_slices_keeps_containers(self):
         bundle, _, want = self.bundles()
-        out = dataclasses.replace(bundle, train=want["train"][:3])
-        assert isinstance(out.train, Examples) and out.train == want["train"][:3]
-        out.test = [TrainExample((0, 1), 2)]
-        assert isinstance(out.test, Examples) and list(out.test) == [TrainExample((0, 1), 2)]
-        out.sessions_train = []
-        assert isinstance(out.sessions_train, Sessions) and not out.sessions_train
+        out = dataclasses.replace(bundle, train=bundle.train[:3], test=bundle.test[:0])
+        assert type(out.train) is Examples and list(out.train) == want["train"][:3]
+        assert type(out.test) is Examples and not out.test
+        assert out.sessions_train is bundle.sessions_train
 
     def test_list_built_bundle_saves_the_same_bytes(self, tmp_path):
         bundle, listed, _ = self.bundles()
@@ -421,7 +422,8 @@ class TestContainers:
         save_bundle(listed, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         again = load_bundle(tmp_path / "a.json")
-        assert again.train == listed.train and again.sessions_test == listed.sessions_test
+        assert list(again.train) == list(listed.train)
+        assert list(again.sessions_test) == list(listed.sessions_test)
 
     def test_loaded_bundle_memory_per_item(self, tmp_path):
         # the eval-full benchmark's bundle: 2k items, 12k sessions, about 54k
