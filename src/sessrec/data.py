@@ -8,22 +8,29 @@ session into (prefix, next-item) supervision pairs.
 A bundle holds its sessions and its examples as ragged containers: one flat
 item array with row offsets, and one int per row (a start time or a target),
 with no Python object per row.
+
+A bundle file (format 2) is one JSON object. Each ragged field holds three
+columns, "items", "lengths" and "values", and an attached graph holds "src",
+"dst" and "weight" besides its "epsilon". A column is the base64 text of a
+little-endian array: int32 for items, lengths, targets and edge ends, int64
+for start times and float64 for weights, so loading decodes each column in
+one step and builds no Python object per item. Format-1 files (rows as JSON
+lists) are refused; bundles are derived data, so regenerate them.
 """
 from __future__ import annotations
 
-import gc
+import base64
 import json
 import numbers
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 
 class DataError(ValueError):
@@ -367,32 +374,42 @@ def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle
 
 
 # ---------------------------------------------------------------------------
-# bundle serialization (versioned JSON, bit-exact round trip)
+# bundle serialization (format 2: typed base64 columns, bit-exact round trip)
 # ---------------------------------------------------------------------------
 
+ITEM_DTYPE = "<i4"   # items, row lengths, targets and edge ends
+# ragged bundle field -> (container, dtype of its values, least items per row,
+# whether its values are item indices)
+_RAGGED_FIELDS = {
+    "sessions_train": (Sessions, "<i8", 0, False),
+    "sessions_test": (Sessions, "<i8", 0, False),
+    "train": (Examples, ITEM_DTYPE, 1, True),
+    "test": (Examples, ITEM_DTYPE, 1, True),
+}
+
+
+def _encode(values: np.ndarray, dtype: str) -> str:
+    """The base64 text of values' bytes as the little-endian dtype."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
 def bundle_to_dict(bundle: DatasetBundle) -> dict:
-    from . import graph as graph_mod
     doc = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "vocab": bundle.vocab.items,
-        "sessions_train": _row_lists(bundle.sessions_train),
-        "sessions_test": _row_lists(bundle.sessions_test),
-        "train": _row_lists(bundle.train),
-        "test": _row_lists(bundle.test),
         "stats": bundle.stats,
         "config": bundle.config,
     }
+    for key, (_, value_dtype, _, _) in _RAGGED_FIELDS.items():
+        rows = getattr(bundle, key)
+        doc[key] = {"items": _encode(rows.items, ITEM_DTYPE),
+                    "lengths": _encode(np.diff(rows.offsets), ITEM_DTYPE),
+                    "values": _encode(rows.values, value_dtype)}
     if bundle.graph is not None:
-        doc["graph"] = {"epsilon": bundle.graph_epsilon,
-                        "edges": graph_mod.edges_to_list(bundle.graph)}
+        g = bundle.graph
+        doc["graph"] = {"epsilon": bundle.graph_epsilon, "src": _encode(g.src, ITEM_DTYPE),
+                        "dst": _encode(g.dst, ITEM_DTYPE), "weight": _encode(g.weight, "<f8")}
     return doc
-
-
-def _row_lists(rows: Ragged) -> list:
-    """[items, value] lists, one per row, as the bundle file holds them."""
-    items, offsets = rows.items.tolist(), rows.offsets.tolist()
-    return list(map(list, zip(map(items.__getitem__, map(slice, offsets, offsets[1:])),
-                              rows.values.tolist())))
 
 
 def _field(doc: dict, key: str, kind: type):
@@ -402,84 +419,92 @@ def _field(doc: dict, key: str, kind: type):
     return value
 
 
-def _ints(xs: list, n: int | None = None):
-    """xs as an int64 array when every element is an int (bools excluded) and,
-    given n, in [0, n); else None. An int past the int64 range raises
-    OverflowError."""
-    if not set(map(type, xs)) <= {int}:
-        return None
-    out = np.fromiter(xs, dtype=np.int64, count=len(xs))
-    if n is not None and out.size and (out.min() < 0 or out.max() >= n):
-        return None
-    return out
-
-
-def _rows(doc: dict, key: str, n: int, min_items: int, values_in_vocab: bool) -> tuple:
-    """A bundle field of [items, value] rows: at least min_items int items in
-    [0, n) and an int value, also in [0, n) when values_in_vocab. Returns the
-    items laid end to end, their row offsets and the values."""
-    rows = _field(doc, key, list)
-    items = values = None
+def _column(columns: dict, key: str, name: str, dtype: str) -> np.ndarray:
+    """Column `name` of bundle field `key`: base64 text of whole little-endian
+    dtype values, as a read-only array over the decoded bytes."""
+    text = columns.get(name)
+    if not isinstance(text, str):
+        raise DataError(f"bundle column '{key}.{name}' is missing or not a string")
     try:
-        if set(map(len, rows)) <= {2}:
-            item_lists = list(map(itemgetter(0), rows))
-            lengths = np.fromiter(map(len, item_lists), dtype=np.intp, count=len(rows))
-            if lengths.min(initial=min_items) >= min_items:
-                values = _ints(list(map(itemgetter(1), rows)), n if values_in_vocab else None)
-                items = _ints(list(chain.from_iterable(item_lists)), n)
-    except (TypeError, KeyError, OverflowError):   # a row or an item list that is not
-        pass                                       # a list, or an int past int64
-    if items is None or values is None:
-        raise DataError(f"bundle field {key!r} must hold [items, value] rows of "
-                        f"integers, at least {min_items} item(s) per row, items in "
-                        f"[0, {n})")
-    return items, _offsets(lengths), values
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:   # a bad alphabet or padding, or a character outside ASCII
+        raise DataError(f"bundle column '{key}.{name}' is not valid base64") from None
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise DataError(f"bundle column '{key}.{name}' holds {len(raw)} bytes, not a "
+                        f"whole number of {size}-byte values")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _in_range(values: np.ndarray, n: int) -> bool:
+    return values.size == 0 or (values.min() >= 0 and values.max() < n)
+
+
+def _ragged(doc: dict, key: str, n: int) -> Ragged:
+    """The container of a ragged bundle field, its columns checked."""
+    kind, value_dtype, min_items, values_are_items = _RAGGED_FIELDS[key]
+    columns = _field(doc, key, dict)
+    items = _column(columns, key, "items", ITEM_DTYPE)
+    lengths = _column(columns, key, "lengths", ITEM_DTYPE)
+    values = _column(columns, key, "values", value_dtype)
+    if lengths.size != values.size:
+        raise DataError(f"bundle field {key!r} holds {lengths.size} lengths but "
+                        f"{values.size} values")
+    if lengths.min(initial=min_items) < min_items:
+        raise DataError(f"bundle field {key!r} holds a row length below {min_items}")
+    offsets = _offsets(lengths)
+    if offsets[-1] != items.size:
+        raise DataError(f"bundle field {key!r} has lengths summing to {offsets[-1]} "
+                        f"but {items.size} items")
+    if not _in_range(items, n) or (values_are_items and not _in_range(values, n)):
+        raise DataError(f"bundle field {key!r} holds an item index outside [0, {n})")
+    return kind(items.astype(np.intp), offsets, values.astype(np.int64))
+
+
+def _graph(doc: dict, n: int):
+    """The attached graph and its epsilon, the edge columns checked."""
+    from . import graph as graph_mod
+    columns = _field(doc, "graph", dict)
+    epsilon = columns.get("epsilon")
+    if type(epsilon) is not int or epsilon < 1:
+        raise DataError("bundle field 'graph' must hold an integer epsilon >= 1")
+    src = _column(columns, "graph", "src", ITEM_DTYPE)
+    dst = _column(columns, "graph", "dst", ITEM_DTYPE)
+    weight = _column(columns, "graph", "weight", "<f8")
+    if not src.size == dst.size == weight.size:
+        raise DataError("bundle field 'graph' holds src, dst and weight columns of "
+                        "unequal sizes")
+    if not (_in_range(src, n) and _in_range(dst, n)):
+        raise DataError(f"bundle field 'graph' holds an edge end outside [0, {n})")
+    src, dst = src.astype(np.intp), dst.astype(np.intp)
+    if np.any(np.diff(src * n + dst) <= 0):
+        raise DataError("bundle field 'graph' must hold its edges in increasing "
+                        "(src, dst) order, one per pair")
+    if not np.all(np.isfinite(weight) & (weight > 0)):
+        raise DataError("bundle field 'graph' must hold a finite weight > 0 per edge")
+    return graph_mod.GlobalGraph(n=n, src=src, dst=dst, weight=weight.astype(np.float64)), epsilon
 
 
 def bundle_from_dict(doc: dict) -> DatasetBundle:
-    """Rebuild a bundle; missing or ill-typed fields and item indices outside
-    the vocabulary raise DataError."""
-    from . import graph as graph_mod
+    """Rebuild a bundle; missing or ill-typed fields, malformed columns and
+    item indices outside the vocabulary raise DataError."""
     if not isinstance(doc, dict):
         raise DataError("a bundle must be a JSON object")
     version = doc.get("format_version")
+    if type(version) is int and version == 1:
+        raise DataError("bundle format version 1 is no longer read: regenerate the "
+                        "bundle with `sessrec preprocess` or `sessrec synth`")
     if type(version) is not int or version != BUNDLE_FORMAT_VERSION:
         raise DataError(f"unsupported bundle format version {version!r}")
     keys = _field(doc, "vocab", list)
     if not set(map(type, keys)) <= {str}:
         raise DataError("bundle field 'vocab' must hold item key strings")
     vocab = Vocab(keys)
-    n = vocab.n
-    bundle = DatasetBundle(
-        vocab=vocab,
-        sessions_train=Sessions(*_rows(doc, "sessions_train", n, 0, False)),
-        sessions_test=Sessions(*_rows(doc, "sessions_test", n, 0, False)),
-        train=Examples(*_rows(doc, "train", n, 1, True)),
-        test=Examples(*_rows(doc, "test", n, 1, True)),
-        stats=_field(doc, "stats", dict),
-        config=doc.get("config", {}),
-    )
+    bundle = DatasetBundle(vocab=vocab, stats=_field(doc, "stats", dict),
+                           config=doc.get("config", {}),
+                           **{key: _ragged(doc, key, vocab.n) for key in _RAGGED_FIELDS})
     if "graph" in doc:
-        graph = _field(doc, "graph", dict)
-        epsilon, edges = graph.get("epsilon"), graph.get("edges")
-        try:
-            ok = (type(epsilon) is int and epsilon >= 1
-                  and set(map(len, edges)) <= {3}
-                  and _ints(list(map(itemgetter(0), edges)), n) is not None
-                  and _ints(list(map(itemgetter(1), edges)), n) is not None
-                  and set(map(type, map(itemgetter(2), edges))) <= {int, float})
-            g = graph_mod.edges_from_list(n, edges) if ok else None
-        except (TypeError, KeyError, OverflowError):   # not a list, or a huge int
-            ok = False
-        if not ok:
-            raise DataError("bundle field 'graph' must hold epsilon >= 1 and "
-                            f"[src, dst, weight] edges with src, dst in [0, {n})")
-        repeated = (g.src[1:] == g.src[:-1]) & (g.dst[1:] == g.dst[:-1])
-        if not np.all(np.isfinite(g.weight) & (g.weight > 0)) or repeated.any():
-            raise DataError("bundle field 'graph' must hold one edge per [src, dst] "
-                            "pair, each with a finite weight > 0")
-        bundle.graph = g
-        bundle.graph_epsilon = epsilon
+        bundle.graph, bundle.graph_epsilon = _graph(doc, vocab.n)
     return bundle
 
 
@@ -488,29 +513,13 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
         json.dump(bundle_to_dict(bundle), f, sort_keys=True, separators=(",", ":"))
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector. A bundle parses into hundreds of
-    thousands of acyclic lists and tuples; while they are allocated, a running
-    collector traverses the growing heap again and again, which costs more
-    than the parse itself."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def load_bundle(path) -> DatasetBundle:
-    with _gc_paused():
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = json.load(f)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read bundle {path}: {e}") from e
-        return bundle_from_dict(doc)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot read bundle {path}: {e}") from e
+    return bundle_from_dict(doc)
 
 
 def vocab_hash(vocab: Vocab) -> str:

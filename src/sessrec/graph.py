@@ -107,19 +107,6 @@ def graph_stats(graph: GlobalGraph) -> dict:
 
 def export_edge_list(graph: GlobalGraph) -> str:
     """Text edge list 'src<TAB>dst<TAB>weight', sorted by (src, dst)."""
-    lines = [f"{s}\t{d}\t{w!r}" for s, d, w in edges_to_list(graph)]
+    lines = [f"{s}\t{d}\t{w!r}" for s, d, w in zip(graph.src.tolist(), graph.dst.tolist(),
+                                                    graph.weight.tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def edges_to_list(graph: GlobalGraph) -> list:
-    """Canonical (sorted) serializable edge triples."""
-    return list(map(list, zip(graph.src.tolist(), graph.dst.tolist(),
-                              graph.weight.tolist())))
-
-
-def edges_from_list(n: int, triples) -> GlobalGraph:
-    """A graph from [src, dst, weight] triples in any order."""
-    table = np.array(triples, dtype=np.float64).reshape(-1, 3)
-    src, dst = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
-    order = np.lexsort((dst, src))
-    return GlobalGraph(n=n, src=src[order], dst=dst[order], weight=table[order, 2])

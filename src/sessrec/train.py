@@ -194,6 +194,8 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
                  for spec in meta["arrays"]]
         if any(type(v) is not int for spec in specs for v in spec[1:]):
             raise TypeError("array rows, cols and offset must be integers")
+        if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
+            raise TypeError(f"adam_t must be an integer >= 0 or null, not {adam_t!r}")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise CheckpointError(f"malformed checkpoint metadata in {path}: {e!r}") from e
     if expected_vocab_hash is not None and vhash != expected_vocab_hash:

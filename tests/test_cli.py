@@ -3,6 +3,8 @@ import dataclasses
 import json
 import re
 import shlex
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -19,7 +21,8 @@ from sessrec.data import PreprocessConfig
 from sessrec.graph import GraphConfig
 from sessrec.model import Hyperparams
 from sessrec.synth import SynthSpec
-from conftest import rewrite_meta
+from conftest import (BROKEN_BUNDLES, child_env, column, edit_column, edges, format_1_doc,
+                      put, rewrite_meta)
 
 
 def run(*argv):
@@ -269,10 +272,11 @@ def test_preprocess_min_count_zero_exit_code(tmp_path, flag):
 def _break_bundle(doc, case):
     if case == "missing-sessions-train":
         del doc["sessions_train"]
-    elif case == "oov-test-prefix":
-        doc["test"][0][0][-1] = len(doc["vocab"])
+    elif case == "oov-test-prefix":   # the last item of the first test prefix
+        last = column(doc, "test", "lengths")[0] - 1
+        edit_column("test", "items", put(last, lambda n: n))(doc)
     else:
-        doc["test"][0][1] = len(doc["vocab"]) + 5
+        edit_column("test", "values", put(0, lambda n: n + 5))(doc)
 
 
 @pytest.mark.parametrize("case", ["missing-sessions-train", "oov-test-prefix",
@@ -286,6 +290,41 @@ def test_broken_bundle_exit_code(tmp_path, synth_bundle, case):
                str(tmp_path / "g.json")) == EXIT_DATA
     assert run("train", "--data", str(bad), "--out", str(tmp_path / "run"),
                "--d", "4", "--layers", "0", "--epochs", "1") == EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def graph_bundle_doc(tmp_path_factory, synth_bundle):
+    """The synth bundle with its graph attached, as a JSON document."""
+    path = tmp_path_factory.mktemp("graph") / "g.json"
+    assert run("build-graph", "--in", str(synth_bundle), "--out", str(path)) == EXIT_OK
+    return path.read_text()
+
+
+@pytest.mark.parametrize("case", BROKEN_BUNDLES)
+def test_broken_column_exit_code(tmp_path, graph_bundle_doc, capsys, case):
+    mutate, message = BROKEN_BUNDLES[case]
+    doc = json.loads(graph_bundle_doc)
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "g.json"
+    assert run("build-graph", "--in", str(bad), "--out", str(out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bundle ") and message in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_format_1_bundle_exit_code(tmp_path, graph_bundle_doc):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(format_1_doc(json.loads(graph_bundle_doc))))
+    proc = subprocess.run([sys.executable, "-m", "sessrec.cli", "train", "--data", str(old),
+                           "--out", str(tmp_path / "run")], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == EXIT_DATA and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("data error: bundle format version 1 ")
+    assert "`sessrec preprocess` or `sessrec synth`" in proc.stderr
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "0"),
@@ -306,12 +345,11 @@ def test_bad_bundle_graph_exit_code(tmp_path, synth_bundle, case):
     assert run("build-graph", "--in", str(synth_bundle), "--out",
                str(with_graph)) == EXIT_OK
     doc = json.loads(with_graph.read_text())
-    edges = doc["graph"]["edges"]
     if case == "repeated-edge":
-        edges.append(list(edges[0]))
+        edges(lambda *cols: [np.append(c, c[0]) for c in cols])(doc)
     else:
-        edges[0][2] = {"nan-weight": float("nan"), "zero-weight": 0.0,
-                       "negative-weight": -0.5}[case]
+        edit_column("graph", "weight", put(0, {"nan-weight": np.nan, "zero-weight": 0.0,
+                                               "negative-weight": -0.5}[case]))(doc)
     with_graph.write_text(json.dumps(doc))
     assert run("train", "--data", str(with_graph), "--out", str(tmp_path / "run"),
                "--d", "4", "--layers", "0", "--epochs", "1") == EXIT_DATA
@@ -498,6 +536,10 @@ HEADER_EDITS = {
     "rows-string": first_array(lambda a: dict(a, rows=str(a["rows"]))),
     "cols-float": first_array(lambda a: dict(a, cols=float(a["cols"]))),
     "offset-string": first_array(lambda a: dict(a, offset=str(a["offset"]))),
+    "adam-t-string": lambda m: dict(m, adam_t="x"),
+    "adam-t-fraction": lambda m: dict(m, adam_t=-5.5),
+    "adam-t-negative": lambda m: dict(m, adam_t=-1),
+    "adam-t-bool": lambda m: dict(m, adam_t=True),
 }
 
 

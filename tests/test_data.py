@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,8 @@ from sessrec.data import (DataError, DatasetBundle, Examples, PreprocessConfig, 
                           build_vocab, bundle_from_dict, bundle_to_dict, filter_dataset,
                           index_sessions, make_bundle, parse_events, prefix_examples,
                           save_bundle, load_bundle, temporal_split)
+from sessrec.graph import GlobalGraph
+from conftest import BROKEN_BUNDLES, column, format_1_doc, rows_of, set_column
 
 
 def ev(s, i, t):
@@ -246,6 +249,39 @@ class TestBundleSerialization:
         save_bundle(bundle, path)
         assert isinstance(json.loads(path.read_text())["format_version"], int)
 
+    def test_round_trip_keeps_arrays_and_weight_bits(self, tmp_path):
+        bundle = make_bundle(events_for([["a", "b", "c"], ["c", "a", "b"], ["b", "c"]],
+                                        repeat=4), PreprocessConfig(min_item_freq=2))
+        n = bundle.vocab.n
+        rng = np.random.default_rng(3)
+        weight = rng.random(n * n) * 10.0 ** rng.integers(-300, 300, n * n)
+        weight[:3] = [5e-324, 1 / 3, np.nextafter(1.0, 2.0)]
+        bundle.graph = GlobalGraph(n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n),
+                                   weight)
+        bundle.graph_epsilon = 7
+        p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
+        save_bundle(bundle, p1)
+        loaded = load_bundle(p1)
+        save_bundle(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        for f in ("sessions_train", "sessions_test", "train", "test"):
+            for name in ("items", "offsets", "values"):
+                want, got = getattr(getattr(bundle, f), name), getattr(getattr(loaded, f), name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for name in ("src", "dst", "weight"):
+            want, got = getattr(bundle.graph, name), getattr(loaded.graph, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert loaded.graph_epsilon == 7 and loaded.vocab.items == bundle.vocab.items
+        assert (loaded.stats, loaded.config) == (bundle.stats, bundle.config)
+
+    def test_columns_are_little_endian_typed_arrays(self):
+        doc = valid_bundle_doc()
+        assert rows_of(doc, "test") == [[[2], 0], [[2, 0], 1]]
+        sizes = {name: len(doc["graph"][name]) for name in ("src", "dst", "weight")}
+        assert sizes == {"src": 28, "dst": 28, "weight": 56}   # 5 edges of 4, 4, 8 bytes
+        assert doc["graph"]["epsilon"] == 3
+        assert doc["sessions_test"]["values"] == "FQAAAAAAAAA="   # int64 21
+
 
 def valid_bundle_doc():
     """A bundle with a graph, as JSON loads it: every field present and non-empty."""
@@ -264,46 +300,56 @@ NOT_A_CONTAINER = [None, 3, "x", 1.5, True]
 
 @st.composite
 def broken_bundle_doc(draw):
+    """A valid bundle document with one defect drawn at random."""
     doc = valid_bundle_doc()
     n = len(doc["vocab"])
-    kind = draw(st.sampled_from(["drop", "retype", "bad_row", "bad_item",
-                                 "bad_target", "bad_edge", "bad_weight", "dup_edge",
+    kind = draw(st.sampled_from(["drop", "retype", "bad_column", "bad_item", "bad_target",
+                                 "bad_length", "bad_edge", "bad_weight", "dup_edge",
                                  "empty_prefix"]))
-    # ints past the int64 range fail the array conversion, not a range check
-    bad_index = draw(st.one_of(st.integers(n, n + 100), st.integers(-100, -1),
-                               st.sampled_from([1.5, "0", None, True, [0], 2 ** 63,
-                                                -2 ** 63 - 1, 10 ** 30])))
+    bad_index = draw(st.integers(n, 2 ** 31 - 1) | st.integers(-2 ** 31, -1))
+
+    def edit(key, name, index, value):
+        values = column(doc, key, name)
+        values[draw(st.integers(0, values.size - 1)) if index is None else index] = value
+        set_column(doc, key, name, values)
+
     if kind == "drop":
         del doc[draw(st.sampled_from(REQUIRED_FIELDS + ["format_version"]))]
     elif kind == "retype":
         doc[draw(st.sampled_from(REQUIRED_FIELDS + ["graph"]))] = \
             draw(st.sampled_from(NOT_A_CONTAINER))
-    elif kind == "bad_row":
-        rows = doc[draw(st.sampled_from(ROW_FIELDS))]
-        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(
-            NOT_A_CONTAINER + [[], [[0]], [[0], 1, 2], [0, 1], ["0", 1]]))
+    elif kind == "bad_column":
+        key = draw(st.sampled_from(ROW_FIELDS + ["graph"]))
+        name = draw(st.sampled_from(["src", "dst", "weight"] if key == "graph"
+                                    else ["items", "lengths", "values"]))
+        doc[key][name] = draw(st.sampled_from(NOT_A_CONTAINER[:2] + [1.5, True, [], ["AA=="],
+                                                                    "*", "A", "AAAAA",
+                                                                    "AA==AA==", "\u00e9"]))
     elif kind == "bad_item":
-        rows = doc[draw(st.sampled_from(ROW_FIELDS))]
-        items = rows[draw(st.integers(0, len(rows) - 1))][0]
-        items[draw(st.integers(0, len(items) - 1))] = bad_index
+        edit(draw(st.sampled_from(ROW_FIELDS)), "items", None, bad_index)
     elif kind == "bad_target":
-        rows = doc[draw(st.sampled_from(["train", "test"]))]
-        rows[draw(st.integers(0, len(rows) - 1))][1] = bad_index
+        edit(draw(st.sampled_from(["train", "test"])), "values", None, bad_index)
+    elif kind == "bad_length":
+        key = draw(st.sampled_from(ROW_FIELDS))
+        lengths = column(doc, key, "lengths")
+        lengths[draw(st.integers(0, lengths.size - 1))] += draw(
+            st.integers(-3, 3).filter(bool))
+        set_column(doc, key, "lengths", lengths)
     elif kind == "bad_edge":
-        edges = doc["graph"]["edges"]
-        edges[draw(st.integers(0, len(edges) - 1))][draw(st.integers(0, 1))] = bad_index
+        edit("graph", draw(st.sampled_from(["src", "dst"])), None, bad_index)
     elif kind == "bad_weight":
-        edges = doc["graph"]["edges"]
-        edges[draw(st.integers(0, len(edges) - 1))][2] = draw(st.sampled_from(
-            [float("nan"), float("inf"), -float("inf"), 0, 0.0, -0.0, -1, -0.5, 10 ** 400]))
+        edit("graph", "weight", None, draw(st.sampled_from(
+            [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, -1.0, -5e-324])))
     elif kind == "dup_edge":
-        edges = doc["graph"]["edges"]
-        src, dst, _ = edges[draw(st.integers(0, len(edges) - 1))]
-        edges.insert(draw(st.integers(0, len(edges))),
-                     [src, dst, draw(st.floats(0.1, 10.0))])
+        i, j = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+        for name in ("src", "dst", "weight"):
+            values = column(doc, "graph", name)
+            set_column(doc, "graph", name, np.insert(values, j, values[i]))
     else:
-        rows = doc[draw(st.sampled_from(["train", "test"]))]
-        rows[draw(st.integers(0, len(rows) - 1))][0] = []
+        key = draw(st.sampled_from(["train", "test"]))
+        lengths = column(doc, key, "lengths")
+        lengths[-2:] = 0, lengths[-2:].sum()
+        set_column(doc, key, "lengths", lengths)
     return doc
 
 
@@ -335,10 +381,30 @@ class TestBundleValidation:
 
     @pytest.mark.parametrize("start_time", [2 ** 63, -2 ** 63 - 1, 1.5, True])
     def test_start_time_not_an_int64_is_data_error(self, start_time):
+        # start times are an int64 column: a JSON value in its place, a column
+        # whose bytes are not whole int64s and text that is not base64 all fail
         doc = valid_bundle_doc()
-        doc["sessions_test"][0][1] = start_time
-        with pytest.raises(DataError, match="sessions_test"):
-            bundle_from_dict(doc)
+        for broken in (start_time, [start_time], "FQAAAAAAAAAAAA==", "FQAAAAAAAAA*"):
+            doc["sessions_test"]["values"] = broken
+            with pytest.raises(DataError, match="sessions_test.values"):
+                bundle_from_dict(doc)
+
+    @pytest.mark.parametrize("case", BROKEN_BUNDLES)
+    def test_broken_column_is_data_error(self, tmp_path, case):
+        mutate, message = BROKEN_BUNDLES[case]
+        doc = valid_bundle_doc()
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_bundle(path)
+
+    def test_format_1_bundle_asks_for_regeneration(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(format_1_doc(valid_bundle_doc())))
+        with pytest.raises(DataError, match="version 1 .*regenerate.*`sessrec preprocess` "
+                                            "or `sessrec synth`"):
+            load_bundle(path)
 
     def test_not_an_object(self):
         with pytest.raises(DataError, match="JSON object"):
@@ -362,7 +428,7 @@ class TestContainers:
                                         repeat=4),
                              PreprocessConfig(min_item_freq=2, holdout_fraction=0.25))
         doc = bundle_to_dict(bundle)
-        rows = {f: [Session(items, start) for items, start in doc["sessions_" + f]]
+        rows = {f: [Session(items, start) for items, start in rows_of(doc, "sessions_" + f)]
                 for f in ("train", "test")}
         want = {"sessions_" + f: sessions for f, sessions in rows.items()}
         want.update({f: [TrainExample(tuple(s.items[:t]), s.items[t])
@@ -425,16 +491,18 @@ class TestContainers:
         assert list(again.train) == list(listed.train)
         assert list(again.sessions_test) == list(listed.sessions_test)
 
-    def test_loaded_bundle_memory_per_item(self, tmp_path):
-        # the eval-full benchmark's bundle: 2k items, 12k sessions, about 54k
-        # prefixes; item entries of the sessions and the prefixes are counted
+    @pytest.fixture(scope="class")
+    def eval_full_bundle(self, tmp_path_factory):
+        """The eval-full benchmark's bundle, saved, and the item entries of its
+        sessions and prefixes: 2k items, 12k sessions, about 54k prefixes."""
         bundle, _ = synth.synth_dataset(synth.SynthSpec(n_items=2000, n_sessions=12000,
                                                         n_chains=200))
-        path = tmp_path / "bundle.json"
+        path = tmp_path_factory.mktemp("eval_full") / "bundle.json"
         save_bundle(bundle, path)
-        stored = sum(getattr(bundle, f).items.size
-                     for f in ("sessions_train", "sessions_test", "train", "test"))
-        del bundle
+        return path, sum(getattr(bundle, f).items.size for f in self.FIELDS)
+
+    def test_loaded_bundle_memory_per_item(self, eval_full_bundle):
+        path, stored = eval_full_bundle
         gc.collect()
         tracemalloc.start()
         try:
@@ -445,3 +513,21 @@ class TestContainers:
             tracemalloc.stop()
         assert len(loaded.train) > 40_000 and stored > 200_000
         assert retained <= 16 * stored
+
+    def test_load_peak_memory(self, eval_full_bundle):
+        # the peak is the file's text and its parsed columns, not a Python
+        # object per item: about 2x the containers' arrays, where rows of JSON
+        # lists peaked at about 8x
+        path, _ = eval_full_bundle
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_bundle(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for f in self.FIELDS
+                     for a in (getattr(loaded, f).items, getattr(loaded, f).offsets,
+                               getattr(loaded, f).values))
+        assert arrays > 2 * 2 ** 20
+        assert peak <= 4 * arrays

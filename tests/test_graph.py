@@ -6,9 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessrec.graph import (GraphConfig, build_global_graph, bundle_adjacency,
-                           edges_from_list, edges_to_list, export_edge_list,
-                           graph_stats, row_normalize)
+from sessrec.graph import (GlobalGraph, GraphConfig, build_global_graph, bundle_adjacency,
+                           export_edge_list, graph_stats, row_normalize)
+
+
+def graph_of(n, triples):
+    """A graph from [src, dst, weight] triples in any order."""
+    src, dst, weight = zip(*sorted(triples, key=lambda t: t[:2])) if triples else ((), (), ())
+    return GlobalGraph(n, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+                       np.array(weight, dtype=np.float64))
+
+
+def edge_triples(g):
+    """The graph's [src, dst, weight] triples in its (src, dst) order."""
+    return list(map(list, zip(g.src.tolist(), g.dst.tolist(), g.weight.tolist())))
 
 
 def oracle_edges(sessions, epsilon):
@@ -59,7 +70,7 @@ def test_arrays_equal_occurrence_order_reference_bit_for_bit(sessions, epsilon):
 
 def test_one_session_three_items():
     g = build_global_graph([[0, 1, 2]], 3, GraphConfig(3))
-    assert edges_to_list(g) == [[0, 1, 0.5], [0, 2, 1 / 3], [1, 2, 0.5]]
+    assert edge_triples(g) == [[0, 1, 0.5], [0, 2, 1 / 3], [1, 2, 0.5]]
 
 
 def test_adjacent_pair_in_two_sessions_sums_to_one():
@@ -134,7 +145,7 @@ def test_epsilon_past_the_longest_session_gives_the_same_arrays():
 
 
 def test_row_normalize_hand_values():
-    g = edges_from_list(3, [[0, 1, 0.5], [0, 2, 1 / 3]])
+    g = graph_of(3, [[0, 1, 0.5], [0, 2, 1 / 3]])
     a = row_normalize(g).matrix.toarray()
     np.testing.assert_allclose(a[0], [0.0, 3 / 5, 2 / 5], atol=1e-15)
     np.testing.assert_allclose(a[1], 0.0)
@@ -143,7 +154,7 @@ def test_row_normalize_hand_values():
 
 def test_row_normalize_single_edge_any_weight():
     for w in (0.07, 1.0, 42.0):
-        g = edges_from_list(2, [[0, 1, w]])
+        g = graph_of(2, [[0, 1, w]])
         assert row_normalize(g).matrix.toarray()[0, 1] == pytest.approx(1.0)
 
 
@@ -158,8 +169,8 @@ def test_row_stochasticity(sessions):
 
 
 def test_graph_stats():
-    assert graph_stats(edges_from_list(3, []))["n_edges"] == 0
-    stats = graph_stats(edges_from_list(4, [[0, 1, 1.0]]))
+    assert graph_stats(graph_of(3, []))["n_edges"] == 0
+    stats = graph_stats(graph_of(4, [[0, 1, 1.0]]))
     assert stats["n_edges"] == 1
     assert stats["out_degree_hist"] == {1: 1, 0: 3}
 
@@ -171,14 +182,15 @@ def test_graph_stats_match_oracle_on_toy():
 
 
 def test_export_edge_list_sorted():
-    g = edges_from_list(3, [[2, 0, 1.0], [0, 1, 0.5]])
+    g = graph_of(3, [[2, 0, 1.0], [0, 1, 0.5]])
     lines = export_edge_list(g).splitlines()
     assert lines == ["0\t1\t0.5", "2\t0\t1.0"]
 
 
 def test_edge_list_round_trip():
     g = build_global_graph([[0, 1, 2], [1, 0]], 3, GraphConfig(2))
-    again = edges_from_list(3, edges_to_list(g)[::-1])
+    rows = [line.split("\t") for line in export_edge_list(g).splitlines()]
+    again = graph_of(3, [[int(s), int(d), float(w)] for s, d, w in rows[::-1]])
     for name in ("src", "dst", "weight"):
         assert getattr(again, name).tobytes() == getattr(g, name).tobytes()
 
@@ -192,7 +204,7 @@ def test_edges_mapping_is_read_only():
 
 def test_bundle_adjacency_uses_attached_graph_only_at_its_epsilon():
     sessions = [[0, 1, 2]]
-    attached = edges_from_list(3, [[2, 0, 1.0]])
+    attached = graph_of(3, [[2, 0, 1.0]])
     bundle = SimpleNamespace(graph=attached, graph_epsilon=2, sessions_train=sessions,
                              vocab=SimpleNamespace(n=3))
     same = bundle_adjacency(bundle, 2).matrix.toarray()

@@ -111,7 +111,7 @@ class TestGcnLayer:
         np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
     def test_zero_row_gives_zero_output(self, rng):
-        g = G.edges_from_list(3, [[0, 1, 1.0]])
+        g = G.GlobalGraph(3, np.array([0]), np.array([1]), np.array([1.0]))
         anorm = G.row_normalize(g)
         out = M.gcn_layer(anorm, Tensor(rng.standard_normal((3, 3))),
                           Tensor(rng.standard_normal((3, 3))))

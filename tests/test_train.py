@@ -267,6 +267,19 @@ class TestCheckpoint:
                 TR.load_checkpoint(rewrite(edit))
         assert TR.load_checkpoint(rewrite(lambda m: m))[2] == hyper
 
+    @pytest.mark.parametrize("adam_t", ["x", -5.5, -1, True, 3.0, [1]])
+    def test_adam_t_not_a_count_is_checkpoint_error(self, tmp_path, adam_t):
+        hyper = tiny_hyper()
+        path = tmp_path / "ok.ckpt"
+        TR.save_checkpoint(path, M.init_params(10, hyper), None, hyper, "0" * 64)
+        raw = path.read_bytes()
+        for good in (None, 0, 12):
+            path.write_bytes(rewrite_meta(raw, lambda m: dict(m, adam_t=good)))
+            assert TR.load_checkpoint(path)[1] == good
+        path.write_bytes(rewrite_meta(raw, lambda m: dict(m, adam_t=adam_t)))
+        with pytest.raises(TR.CheckpointError, match="adam_t"):
+            TR.load_checkpoint(path)
+
     def test_missing_or_misshaped_parameter(self, tmp_path):
         hyper = tiny_hyper()
         path = tmp_path / "ok.ckpt"
