@@ -9,28 +9,28 @@ A bundle holds its sessions and its examples as ragged containers: one flat
 item array with row offsets, and one int per row (a start time or a target),
 with no Python object per row.
 
-A bundle file (format 2) is one JSON object. Each ragged field holds three
-columns, "items", "lengths" and "values", and an attached graph holds "src",
-"dst" and "weight" besides its "epsilon". A column is the base64 text of a
-little-endian array: int32 for items, lengths, targets and edge ends, int64
-for start times and float64 for weights, so loading decodes each column in
-one step and builds no Python object per item. Format-1 files (rows as JSON
-lists) are refused; bundles are derived data, so regenerate them.
+A bundle file (format 3) is the binary container checkpoints use too: a JSON
+header (vocabulary, stats, config, graph epsilon), then one raw little-endian
+block per column, int32 for items, lengths, targets and edge ends, int64 for
+start times and float64 for weights. Loading parses no large JSON string and
+builds no Python object per item. JSON bundles (formats 1 and 2) are refused;
+bundles are derived data, so regenerate them.
 """
 from __future__ import annotations
 
-import base64
 import json
 import numbers
+import struct
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 
 class DataError(ValueError):
@@ -374,79 +374,121 @@ def make_bundle(events, config: PreprocessConfig | None = None) -> DatasetBundle
 
 
 # ---------------------------------------------------------------------------
-# bundle serialization (format 2: typed base64 columns, bit-exact round trip)
+# binary containers, for bundles (format 3) and checkpoints: a magic line, the
+# header's length as <Q, a compact sorted-key UTF-8 JSON header, then the raw
+# blocks its "arrays" entries {"name", "rows", "cols", "offset"} locate after
+# it. Dtypes are not stored: each reader names those of the blocks it knows.
 # ---------------------------------------------------------------------------
 
-ITEM_DTYPE = "<i4"   # items, row lengths, targets and edge ends
-# ragged bundle field -> (container, dtype of its values, least items per row,
-# whether its values are item indices)
-_RAGGED_FIELDS = {
-    "sessions_train": (Sessions, "<i8", 0, False),
-    "sessions_test": (Sessions, "<i8", 0, False),
-    "train": (Examples, ITEM_DTYPE, 1, True),
-    "test": (Examples, ITEM_DTYPE, 1, True),
-}
+def write_container(path, magic: bytes, header: dict, blocks) -> None:
+    """Write magic, header and the (name, array) pairs of blocks in order, each
+    array's bytes as they are (so in its stored dtype); a 1-d array is rows x 1."""
+    arrays, offset = [], 0
+    for name, data in blocks:
+        rows, cols = data.shape if data.ndim == 2 else (data.size, 1)
+        arrays.append({"name": name, "rows": rows, "cols": cols, "offset": offset})
+        offset += data.nbytes
+    head = json.dumps(dict(header, arrays=arrays), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<Q", len(head)))
+        f.write(head)
+        for _, data in blocks:
+            f.write(np.ascontiguousarray(data).data)
 
 
-def _encode(values: np.ndarray, dtype: str) -> str:
-    """The base64 text of values' bytes as the little-endian dtype."""
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+def read_container(raw: bytes, what: str, magic: bytes, error: type, dtype_of) -> tuple:
+    """(header, blocks) of a container file's bytes: the header object and, per
+    block name, a read-only rows x cols array of dtype_of(name) over raw, where
+    a name dtype_of does not know gives None. Any defect of the layout raises
+    error, its message led by `what` (such as "bundle <path>")."""
+    start = len(magic) + 8
+    if len(raw) < start:
+        raise error(f"{what}: truncated header")
+    if not raw.startswith(magic):
+        raise error(f"cannot read {what}: it does not start with {magic!r}")
+    (size,) = struct.unpack_from("<Q", raw, len(magic))
+    base = start + size
+    if base > len(raw):
+        raise error(f"{what}: truncated header (its length runs past the file's end)")
+    try:
+        header = json.loads(raw[start:base].decode("utf-8"))
+    except (ValueError, RecursionError) as e:   # not UTF-8, or not JSON
+        raise error(f"{what}: the header is not UTF-8 JSON: {e}") from None
+    arrays = header.get("arrays") if isinstance(header, dict) else None
+    if not isinstance(arrays, list):
+        raise error(f"{what}: the header is not a JSON object with an 'arrays' list")
+    blocks = {}
+    for spec in arrays:
+        name, *ints = map(spec.get, ("name", "rows", "cols", "offset")) \
+            if isinstance(spec, dict) else [None]
+        if type(name) is not str or not all(type(v) is int and v >= 0 for v in ints):
+            raise error(f"{what}: block entry {spec!r} is not a string name with "
+                        "integer rows, cols and offset >= 0")
+        dtype = dtype_of(name)
+        if dtype is None:
+            raise error(f"{what}: unknown block {name!r}")
+        if name in blocks:
+            raise error(f"{what}: repeated block {name!r}")
+        rows, cols, offset = ints
+        dtype = np.dtype(dtype)
+        if base + offset + rows * cols * dtype.itemsize > len(raw):
+            raise error(f"{what}: block {name!r} runs past the end of the file")
+        try:
+            blocks[name] = np.frombuffer(raw, dtype, rows * cols, base + offset).reshape(
+                rows, cols)
+        except ValueError as e:   # a dimension numpy cannot hold, with no bytes behind it
+            raise error(f"{what}: block {name!r} has a malformed shape: {e}") from None
+    return header, blocks
 
 
-def bundle_to_dict(bundle: DatasetBundle) -> dict:
-    doc = {
-        "format_version": BUNDLE_FORMAT_VERSION,
-        "vocab": bundle.vocab.items,
-        "stats": bundle.stats,
-        "config": bundle.config,
-    }
-    for key, (_, value_dtype, _, _) in _RAGGED_FIELDS.items():
+BUNDLE_MAGIC = b"SESSRECBUNDLE\n"
+# ragged bundle field -> (container, least items per row, whether its values
+# are item indices)
+_RAGGED_FIELDS = {"sessions_train": (Sessions, 0, False), "sessions_test": (Sessions, 0, False),
+                  "train": (Examples, 1, True), "test": (Examples, 1, True)}
+# block -> stored dtype: int32 for items, row lengths, targets and edge ends,
+# int64 for start times and float64 for weights
+_RAGGED_BLOCKS = {f"{key}/{name}": "<i8" if kind is Sessions and name == "values" else "<i4"
+                  for key, (kind, _, _) in _RAGGED_FIELDS.items()
+                  for name in ("items", "lengths", "values")}
+_BLOCKS = _RAGGED_BLOCKS | {"graph/src": "<i4", "graph/dst": "<i4", "graph/weight": "<f8"}
+
+
+def save_bundle(bundle: DatasetBundle, path) -> None:
+    header = {"format_version": BUNDLE_FORMAT_VERSION, "vocab": bundle.vocab.items,
+              "stats": bundle.stats, "config": bundle.config}
+    columns = {}
+    for key in _RAGGED_FIELDS:
         rows = getattr(bundle, key)
-        doc[key] = {"items": _encode(rows.items, ITEM_DTYPE),
-                    "lengths": _encode(np.diff(rows.offsets), ITEM_DTYPE),
-                    "values": _encode(rows.values, value_dtype)}
+        columns |= {f"{key}/items": rows.items, f"{key}/lengths": np.diff(rows.offsets),
+                    f"{key}/values": rows.values}
     if bundle.graph is not None:
-        g = bundle.graph
-        doc["graph"] = {"epsilon": bundle.graph_epsilon, "src": _encode(g.src, ITEM_DTYPE),
-                        "dst": _encode(g.dst, ITEM_DTYPE), "weight": _encode(g.weight, "<f8")}
-    return doc
+        header["graph_epsilon"] = bundle.graph_epsilon
+        columns |= {f"graph/{name}": getattr(bundle.graph, name)
+                    for name in ("src", "dst", "weight")}
+    write_container(path, BUNDLE_MAGIC, header,
+                    [(name, np.asarray(values, dtype=_BLOCKS[name]))
+                     for name, values in columns.items()])
 
 
-def _field(doc: dict, key: str, kind: type):
-    value = doc.get(key)
+def _field(header: dict, key: str, kind: type):
+    value = header.get(key)
     if not isinstance(value, kind):
         raise DataError(f"bundle field {key!r} is missing or not a {kind.__name__}")
     return value
-
-
-def _column(columns: dict, key: str, name: str, dtype: str) -> np.ndarray:
-    """Column `name` of bundle field `key`: base64 text of whole little-endian
-    dtype values, as a read-only array over the decoded bytes."""
-    text = columns.get(name)
-    if not isinstance(text, str):
-        raise DataError(f"bundle column '{key}.{name}' is missing or not a string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:   # a bad alphabet or padding, or a character outside ASCII
-        raise DataError(f"bundle column '{key}.{name}' is not valid base64") from None
-    size = np.dtype(dtype).itemsize
-    if len(raw) % size:
-        raise DataError(f"bundle column '{key}.{name}' holds {len(raw)} bytes, not a "
-                        f"whole number of {size}-byte values")
-    return np.frombuffer(raw, dtype=dtype)
 
 
 def _in_range(values: np.ndarray, n: int) -> bool:
     return values.size == 0 or (values.min() >= 0 and values.max() < n)
 
 
-def _ragged(doc: dict, key: str, n: int) -> Ragged:
-    """The container of a ragged bundle field, its columns checked."""
-    kind, value_dtype, min_items, values_are_items = _RAGGED_FIELDS[key]
-    columns = _field(doc, key, dict)
-    items = _column(columns, key, "items", ITEM_DTYPE)
-    lengths = _column(columns, key, "lengths", ITEM_DTYPE)
-    values = _column(columns, key, "values", value_dtype)
+def _ragged(blocks: dict, key: str, n: int) -> Ragged:
+    """The container of a ragged bundle field, its blocks checked."""
+    kind, min_items, values_are_items = _RAGGED_FIELDS[key]
+    items, lengths, values = (blocks[f"{key}/{name}"] for name in ("items", "lengths",
+                                                                      "values"))
     if lengths.size != values.size:
         raise DataError(f"bundle field {key!r} holds {lengths.size} lengths but "
                         f"{values.size} values")
@@ -461,18 +503,12 @@ def _ragged(doc: dict, key: str, n: int) -> Ragged:
     return kind(items.astype(np.intp), offsets, values.astype(np.int64))
 
 
-def _graph(doc: dict, n: int):
-    """The attached graph and its epsilon, the edge columns checked."""
+def _graph(blocks: dict, n: int):
+    """The attached graph, its edge blocks checked."""
     from . import graph as graph_mod
-    columns = _field(doc, "graph", dict)
-    epsilon = columns.get("epsilon")
-    if type(epsilon) is not int or epsilon < 1:
-        raise DataError("bundle field 'graph' must hold an integer epsilon >= 1")
-    src = _column(columns, "graph", "src", ITEM_DTYPE)
-    dst = _column(columns, "graph", "dst", ITEM_DTYPE)
-    weight = _column(columns, "graph", "weight", "<f8")
+    src, dst, weight = (blocks[f"graph/{name}"] for name in ("src", "dst", "weight"))
     if not src.size == dst.size == weight.size:
-        raise DataError("bundle field 'graph' holds src, dst and weight columns of "
+        raise DataError("bundle field 'graph' holds src, dst and weight blocks of "
                         "unequal sizes")
     if not (_in_range(src, n) and _in_range(dst, n)):
         raise DataError(f"bundle field 'graph' holds an edge end outside [0, {n})")
@@ -482,44 +518,45 @@ def _graph(doc: dict, n: int):
                         "(src, dst) order, one per pair")
     if not np.all(np.isfinite(weight) & (weight > 0)):
         raise DataError("bundle field 'graph' must hold a finite weight > 0 per edge")
-    return graph_mod.GlobalGraph(n=n, src=src, dst=dst, weight=weight.astype(np.float64)), epsilon
-
-
-def bundle_from_dict(doc: dict) -> DatasetBundle:
-    """Rebuild a bundle; missing or ill-typed fields, malformed columns and
-    item indices outside the vocabulary raise DataError."""
-    if not isinstance(doc, dict):
-        raise DataError("a bundle must be a JSON object")
-    version = doc.get("format_version")
-    if type(version) is int and version == 1:
-        raise DataError("bundle format version 1 is no longer read: regenerate the "
-                        "bundle with `sessrec preprocess` or `sessrec synth`")
-    if type(version) is not int or version != BUNDLE_FORMAT_VERSION:
-        raise DataError(f"unsupported bundle format version {version!r}")
-    keys = _field(doc, "vocab", list)
-    if not set(map(type, keys)) <= {str}:
-        raise DataError("bundle field 'vocab' must hold item key strings")
-    vocab = Vocab(keys)
-    bundle = DatasetBundle(vocab=vocab, stats=_field(doc, "stats", dict),
-                           config=doc.get("config", {}),
-                           **{key: _ragged(doc, key, vocab.n) for key in _RAGGED_FIELDS})
-    if "graph" in doc:
-        bundle.graph, bundle.graph_epsilon = _graph(doc, vocab.n)
-    return bundle
-
-
-def save_bundle(bundle: DatasetBundle, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(bundle_to_dict(bundle), f, sort_keys=True, separators=(",", ":"))
+    return graph_mod.GlobalGraph(n=n, src=src, dst=dst, weight=weight.astype(np.float64))
 
 
 def load_bundle(path) -> DatasetBundle:
+    """Read a format-3 bundle; a malformed file, header or block, and item
+    indices outside the vocabulary, raise DataError."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raw = Path(path).read_bytes()
+    except OSError as e:
         raise DataError(f"cannot read bundle {path}: {e}") from e
-    return bundle_from_dict(doc)
+    if raw.startswith(b"{"):
+        raise DataError("bundle format version 1 or 2 (JSON) is no longer read: regenerate "
+                        "the bundle with `sessrec preprocess` or `sessrec synth`")
+    what = f"bundle {path}"
+    header, blocks = read_container(raw, what, BUNDLE_MAGIC, DataError, _BLOCKS.get)
+    version = header.get("format_version")
+    if type(version) is not int or version != BUNDLE_FORMAT_VERSION:
+        raise DataError(f"unsupported bundle format version {version!r}")
+    has_graph = "graph_epsilon" in header or not blocks.keys() <= _RAGGED_BLOCKS.keys()
+    missing = (_BLOCKS if has_graph else _RAGGED_BLOCKS).keys() - blocks.keys()
+    if missing:
+        raise DataError(f"{what}: block {min(missing)!r} is missing")
+    for name, block in blocks.items():
+        if block.shape[1] != 1:
+            raise DataError(f"{what}: block {name!r} has {block.shape[1]} columns, not 1")
+        blocks[name] = block.reshape(-1)
+    keys = _field(header, "vocab", list)
+    if not set(map(type, keys)) <= {str}:
+        raise DataError("bundle field 'vocab' must hold item key strings")
+    vocab = Vocab(keys)
+    bundle = DatasetBundle(vocab=vocab, stats=_field(header, "stats", dict),
+                           config=_field(header, "config", dict),
+                           **{key: _ragged(blocks, key, vocab.n) for key in _RAGGED_FIELDS})
+    if has_graph:
+        epsilon = header.get("graph_epsilon")
+        if type(epsilon) is not int or epsilon < 1:
+            raise DataError("bundle must hold an integer graph_epsilon >= 1")
+        bundle.graph, bundle.graph_epsilon = _graph(blocks, vocab.n), epsilon
+    return bundle
 
 
 def vocab_hash(vocab: Vocab) -> str:

@@ -8,7 +8,6 @@ ends with a test evaluation and a best-P@20 checkpoint.
 from __future__ import annotations
 
 import json
-import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from . import evaluate as eval_mod
 from . import graph as graph_mod
 from . import loss as loss_mod
 from . import model as model_mod
-from .data import DatasetBundle, Examples, vocab_hash
+from .data import DatasetBundle, Examples, read_container, vocab_hash, write_container
 from .model import Hyperparams, ModelParams
 from .optim import Adam, NumericError
 from .tensor import Tape, Tensor
@@ -137,31 +136,18 @@ def train(bundle: DatasetBundle, hyper: Hyperparams, out_dir=None,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: deterministic binary (magic, meta JSON, raw float64 blocks)
+# checkpoints: data.write_container's binary file, its blocks all float64
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams, adam: Adam | None,
                     hyper: Hyperparams, vhash: str) -> None:
     """Write the parameters and metadata, with adam's step count but not its moments."""
-    arrays = []
-    blobs = []
-    offset = 0
-    for name in sorted(params.tensors):
-        data = params[name].data
-        arrays.append({"name": f"param/{name}", "rows": int(data.shape[0]),
-                       "cols": int(data.shape[1]), "offset": offset})
-        blobs.append(np.ascontiguousarray(data, dtype=np.float64).tobytes())
-        offset += len(blobs[-1])
     meta = {"format_version": CHECKPOINT_VERSION, "vocab_hash": vhash,
             "hyper": asdict(hyper), "adam_t": adam.t if adam is not None else None,
-            "num_layers": params.num_layers, "arrays": arrays}
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(meta_bytes)))
-        f.write(meta_bytes)
-        for b in blobs:
-            f.write(b)
+            "num_layers": params.num_layers}
+    write_container(path, CHECKPOINT_MAGIC, meta,
+                    [(f"param/{name}", np.asarray(params[name].data, dtype="<f8"))
+                     for name in sorted(params.tensors)])
 
 
 def load_checkpoint(path, expected_vocab_hash: str | None = None):
@@ -171,29 +157,14 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
         raw = Path(path).read_bytes()
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if not raw.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path} is not a checkpoint file")
-    head = len(CHECKPOINT_MAGIC)
-    if len(raw) < head + 8:
-        raise CheckpointError(f"truncated checkpoint header in {path}")
-    (meta_len,) = struct.unpack_from("<Q", raw, head)
-    base = head + 8 + meta_len
-    if base > len(raw):
-        raise CheckpointError(f"truncated checkpoint metadata in {path}")
-    try:
-        meta = json.loads(raw[head + 8:base].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"corrupted checkpoint metadata in {path}") from e
-    version = meta.get("format_version") if isinstance(meta, dict) else None
+    meta, blocks = read_container(raw, f"checkpoint {path}", CHECKPOINT_MAGIC,
+                                  CheckpointError, lambda name: "<f8")
+    version = meta.get("format_version")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint format version {version!r} unsupported")
     try:
         vhash, adam_t, num_layers = meta["vocab_hash"], meta["adam_t"], meta["num_layers"]
         hyper = Hyperparams(**meta["hyper"])
-        specs = [(spec["name"].partition("/"), spec["rows"], spec["cols"], spec["offset"])
-                 for spec in meta["arrays"]]
-        if any(type(v) is not int for spec in specs for v in spec[1:]):
-            raise TypeError("array rows, cols and offset must be integers")
         if adam_t is not None and (type(adam_t) is not int or adam_t < 0):
             raise TypeError(f"adam_t must be an integer >= 0 or null, not {adam_t!r}")
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
@@ -201,19 +172,10 @@ def load_checkpoint(path, expected_vocab_hash: str | None = None):
     if expected_vocab_hash is not None and vhash != expected_vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and bundle")
     tensors = {}
-    for (kind, _, name), rows, cols, offset in specs:
-        size = rows * cols * 8
-        start = base + offset
-        if min(rows, cols, offset) < 0 or start + size > len(raw):
-            raise CheckpointError(f"truncated checkpoint {path}")
-        if kind != "param":
-            continue
-        try:
-            arr = np.frombuffer(raw[start:start + size], dtype=np.float64).reshape(
-                rows, cols).copy()
-        except ValueError as e:   # a dimension numpy cannot hold, with no bytes behind it
-            raise CheckpointError(f"malformed array param/{name} in {path}: {e}") from e
-        tensors[name] = Tensor(arr)
+    for block_name, block in blocks.items():
+        kind, _, name = block_name.partition("/")
+        if kind == "param":
+            tensors[name] = Tensor(block.astype(np.float64))
     if num_layers != hyper.num_layers:
         raise CheckpointError(f"checkpoint num_layers {num_layers!r} disagrees with its "
                               f"hyperparameters ({hyper.num_layers})")

@@ -1,15 +1,15 @@
 """The bytes of the bundles the CLI writes, pinned by their sha256, so that
-their serialisation cannot drift. The pins are of bundle format 2; the
-format-1 files of the same bundles held the same rows, vocabulary, stats,
-config and edges."""
+their serialisation cannot drift. The pins are of bundle format 3; the
+format-1 and format-2 files of the same bundles held the same rows,
+vocabulary, stats, config and edges."""
 import hashlib
 
 from sessrec.cli import EXIT_OK, main
 
-SYNTH_DEFAULT = "de1f796b1b427a3a8119650dd7b335393ad3e6ff40e68cff058f07ddff1452f7"
-PREPROCESSED = "8841d27cd255f4fffae462607fb58c954a6f847ece9d9d3523d422864d054e42"
-WITH_GRAPH = "37573f3093237174028efd25a2ac08d636047951672f13925924f8104cf1b845"
-WITH_TEST_GRAPH = "343a2f4f42fdf81b22d261a1bc495ae167ec26f2bb3101d97c376926fdd49c15"
+SYNTH_DEFAULT = "eaccce96780cbd617c5ff967cc151e9ff844cad160d83b4c0d28b6d4d0d23d74"
+PREPROCESSED = "9ad04154209ce73eb883f58a0403df3791480a09c095bd9a0140453fce5f13d9"
+WITH_GRAPH = "197127dc4caf6be47e3336cb91ea057288860c53e390e4a1d0799a76907781a0"
+WITH_TEST_GRAPH = "6e76de47c26f5c9082ac1251fc1abd440251c1e1a284ab69a14778cdacff0bb7"
 
 
 def sha256(path) -> str:

@@ -21,8 +21,9 @@ from sessrec.data import PreprocessConfig
 from sessrec.graph import GraphConfig
 from sessrec.model import Hyperparams
 from sessrec.synth import SynthSpec
-from conftest import (BROKEN_BUNDLES, child_env, column, edit_column, edges, format_1_doc,
-                      put, rewrite_meta)
+from conftest import (BROKEN_BUNDLES, child_env, column, drop_blocks, edit_column,
+                      format_1_doc, format_2_doc, on_doc, put, read_doc, rewrite_meta,
+                      set_column)
 
 
 def run(*argv):
@@ -269,23 +270,24 @@ def test_preprocess_min_count_zero_exit_code(tmp_path, flag):
     assert not out.exists()
 
 
-def _break_bundle(doc, case):
-    if case == "missing-sessions-train":
-        del doc["sessions_train"]
-    elif case == "oov-test-prefix":   # the last item of the first test prefix
-        last = column(doc, "test", "lengths")[0] - 1
-        edit_column("test", "items", put(last, lambda n: n))(doc)
-    else:
-        edit_column("test", "values", put(0, lambda n: n + 5))(doc)
+def oov_test_prefix(doc):
+    """Set the last item of the first test prefix to n."""
+    items = column(doc, "test", "items")
+    items[column(doc, "test", "lengths")[0] - 1] = len(doc["vocab"])
+    set_column(doc, "test", "items", items)
 
 
-@pytest.mark.parametrize("case", ["missing-sessions-train", "oov-test-prefix",
-                                  "oov-test-target"])
+BROKEN_BUNDLE_CASES = {
+    "missing-sessions-train": drop_blocks("sessions_train/"),
+    "oov-test-prefix": on_doc(oov_test_prefix),
+    "oov-test-target": edit_column("test", "values", put(0, lambda n: n + 5)),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_BUNDLE_CASES)
 def test_broken_bundle_exit_code(tmp_path, synth_bundle, case):
-    doc = json.loads(synth_bundle.read_text())
-    _break_bundle(doc, case)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(BROKEN_BUNDLE_CASES[case](synth_bundle.read_bytes()))
     assert run("build-graph", "--in", str(bad), "--out",
                str(tmp_path / "g.json")) == EXIT_DATA
     assert run("train", "--data", str(bad), "--out", str(tmp_path / "run"),
@@ -293,38 +295,43 @@ def test_broken_bundle_exit_code(tmp_path, synth_bundle, case):
 
 
 @pytest.fixture(scope="module")
-def graph_bundle_doc(tmp_path_factory, synth_bundle):
-    """The synth bundle with its graph attached, as a JSON document."""
+def graph_bundle(tmp_path_factory, synth_bundle):
+    """The bytes of the synth bundle with its graph attached."""
     path = tmp_path_factory.mktemp("graph") / "g.json"
     assert run("build-graph", "--in", str(synth_bundle), "--out", str(path)) == EXIT_OK
-    return path.read_text()
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize("case", BROKEN_BUNDLES)
-def test_broken_column_exit_code(tmp_path, graph_bundle_doc, capsys, case):
+def test_broken_column_exit_code(tmp_path, graph_bundle, checkpoint, capsys, case):
     mutate, message = BROKEN_BUNDLES[case]
-    doc = json.loads(graph_bundle_doc)
-    mutate(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "g.json"
-    assert run("build-graph", "--in", str(bad), "--out", str(out)) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error: bundle ") and message in err
-    assert err.count("\n") == 1 and not out.exists()
+    bad.write_bytes(mutate(graph_bundle))
+    out = tmp_path / "out"
+    for argv in (["build-graph", "--in", str(bad), "--out", str(out)],
+                 ["train", "--data", str(bad), "--out", str(out), "--d", "4",
+                  "--layers", "0", "--epochs", "1"],
+                 ["eval", "--data", str(bad), "--checkpoint", str(checkpoint),
+                  "--out", str(out)]):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: bundle ") and message in err
+        assert err.count("\n") == 1 and not out.exists()
 
 
-def test_format_1_bundle_exit_code(tmp_path, graph_bundle_doc):
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(format_1_doc(json.loads(graph_bundle_doc))))
-    proc = subprocess.run([sys.executable, "-m", "sessrec.cli", "train", "--data", str(old),
-                           "--out", str(tmp_path / "run")], capture_output=True, text=True,
-                          env=child_env(), timeout=120)
-    assert proc.returncode == EXIT_DATA and proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("data error: bundle format version 1 ")
-    assert "`sessrec preprocess` or `sessrec synth`" in proc.stderr
+def test_format_1_bundle_exit_code(tmp_path, graph_bundle):
+    # format 2 (base64 columns) is JSON too, and refused alike
+    for old_doc in (format_1_doc, format_2_doc):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(old_doc(read_doc(graph_bundle))))
+        proc = subprocess.run([sys.executable, "-m", "sessrec.cli", "train", "--data",
+                               str(old), "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == EXIT_DATA and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("data error: bundle format version 1 or 2 ")
+        assert "`sessrec preprocess` or `sessrec synth`" in proc.stderr
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "-1"), ("--lr", "0"),
@@ -336,24 +343,6 @@ def test_bad_hyperparameter_exit_code(tmp_path, synth_bundle, flag, value):
     assert run("train", "--data", str(synth_bundle), "--out", str(tmp_path / "x"),
                "--d", "4", "--layers", "0", flag, value) == EXIT_CONFIG
     assert not (tmp_path / "x" / "metrics.json").exists()
-
-
-@pytest.mark.parametrize("case", ["nan-weight", "zero-weight", "negative-weight",
-                                  "repeated-edge"])
-def test_bad_bundle_graph_exit_code(tmp_path, synth_bundle, case):
-    with_graph = tmp_path / "g.json"
-    assert run("build-graph", "--in", str(synth_bundle), "--out",
-               str(with_graph)) == EXIT_OK
-    doc = json.loads(with_graph.read_text())
-    if case == "repeated-edge":
-        edges(lambda *cols: [np.append(c, c[0]) for c in cols])(doc)
-    else:
-        edit_column("graph", "weight", put(0, {"nan-weight": np.nan, "zero-weight": 0.0,
-                                               "negative-weight": -0.5}[case]))(doc)
-    with_graph.write_text(json.dumps(doc))
-    assert run("train", "--data", str(with_graph), "--out", str(tmp_path / "run"),
-               "--d", "4", "--layers", "0", "--epochs", "1") == EXIT_DATA
-    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -517,8 +506,8 @@ def test_bundle_version_not_an_integer_exit_code(tmp_path, synth_bundle, checkpo
                                                  version):
     # JSON true and 1.0 both compare equal to 1
     bundle = tmp_path / "b.json"
-    bundle.write_text(json.dumps(dict(json.loads(synth_bundle.read_text()),
-                                      format_version=version)))
+    bundle.write_bytes(rewrite_meta(synth_bundle.read_bytes(),
+                                    lambda m: dict(m, format_version=version)))
     assert run("eval", "--checkpoint", str(checkpoint), "--data", str(bundle),
                "--out", str(tmp_path / "e.json")) == EXIT_DATA
     assert capsys.readouterr().err == (f"data error: unsupported bundle format version "
@@ -595,9 +584,9 @@ def test_eval_nan_in_any_parameter_exit_code(tmp_path, synth_bundle, checkpoint,
 
 @pytest.mark.parametrize("command", ["eval", "train", "build-graph"])
 def test_bundle_not_utf8_exit_code(tmp_path, synth_bundle, checkpoint, capsys, command):
-    # a bundle saved as UTF-16 starts with the bytes ff fe
+    # a bundle's bytes saved as UTF-16 text start with ff fe, not the magic
     bundle = tmp_path / "utf16.json"
-    bundle.write_bytes(synth_bundle.read_text(encoding="utf-8").encode("utf-16"))
+    bundle.write_bytes(synth_bundle.read_bytes().decode("latin-1").encode("utf-16"))
     argv = {"eval": ["--checkpoint", str(checkpoint), "--data", str(bundle),
                      "--out", str(tmp_path / "e.json")],
             "train": ["--data", str(bundle), "--out", str(tmp_path / "run"), "--d", "4",

@@ -6,17 +6,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sessrec import synth
 from sessrec.data import (DataError, DatasetBundle, Examples, PreprocessConfig, RawEvent,
                           RawSession, Session, Sessions, TrainExample, build_sessions,
-                          build_vocab, bundle_from_dict, bundle_to_dict, filter_dataset,
+                          build_vocab, filter_dataset,
                           index_sessions, make_bundle, parse_events, prefix_examples,
                           save_bundle, load_bundle, temporal_split)
 from sessrec.graph import GlobalGraph
-from conftest import BROKEN_BUNDLES, column, format_1_doc, rows_of, set_column
+from conftest import (BROKEN_BUNDLES, bundle_doc, column, column_dtype, doc_bytes, entry,
+                      format_1_doc, format_2_doc, read_doc, rewrite_meta, rows_of, set_column,
+                      split_container)
 
 
 def ev(s, i, t):
@@ -222,32 +224,51 @@ def test_preprocess_config_validation(field, value):
         make_bundle([], PreprocessConfig(**{field: value}))
 
 
+@pytest.fixture(scope="module")
+def valid_raw(tmp_path_factory):
+    """The bytes of a bundle with a graph: every block present and non-empty."""
+    from sessrec import graph as G
+    bundle = make_bundle(events_for([["a", "b", "c"], ["c", "a", "b"]], repeat=4),
+                         PreprocessConfig(min_item_freq=2))
+    bundle.graph = G.build_global_graph(bundle.sessions_train, bundle.vocab.n)
+    bundle.graph_epsilon = 3
+    path = tmp_path_factory.mktemp("valid") / "bundle.bin"
+    save_bundle(bundle, path)
+    return path.read_bytes()
+
+
+def load_bytes(path, raw: bytes):
+    path.write_bytes(raw)
+    return load_bundle(path)
+
+
 class TestBundleSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         from sessrec import graph as G
         events = events_for([["a", "b", "c"], ["c", "a", "b"]], repeat=4)
         bundle = make_bundle(events, PreprocessConfig(min_item_freq=2))
-        p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
+        p1, p2 = tmp_path / "b1.bin", tmp_path / "b2.bin"
         for graph in (None, G.build_global_graph(bundle.sessions_train, bundle.vocab.n)):
             bundle.graph, bundle.graph_epsilon = graph, 3
             save_bundle(bundle, p1)
             save_bundle(load_bundle(p1), p2)
             assert p1.read_bytes() == p2.read_bytes()
+            # an independent encoder of format 3 lays out the same bytes
+            assert doc_bytes(read_doc(p1.read_bytes())) == p1.read_bytes()
 
-    def test_version_check(self):
-        doc = bundle_to_dict(make_bundle(events_for([["a", "b"]], repeat=3),
-                                         PreprocessConfig(min_item_freq=1,
-                                                          holdout_fraction=0.4)))
-        doc["format_version"] = 99
-        with pytest.raises(DataError, match="format version"):
-            bundle_from_dict(doc)
+    def test_version_check(self, tmp_path, valid_raw):
+        for version in (99, 2, 4):
+            with pytest.raises(DataError, match="format version"):
+                load_bytes(tmp_path / "b.bin",
+                           rewrite_meta(valid_raw, lambda m: dict(m, format_version=version)))
 
     def test_embeds_format_version(self, tmp_path):
         bundle = make_bundle(events_for([["a", "b"]], repeat=3),
                              PreprocessConfig(min_item_freq=1, holdout_fraction=0.4))
-        path = tmp_path / "b.json"
+        path = tmp_path / "b.bin"
         save_bundle(bundle, path)
-        assert isinstance(json.loads(path.read_text())["format_version"], int)
+        assert path.read_bytes().startswith(b"SESSRECBUNDLE\n")
+        assert read_doc(path.read_bytes())["format_version"] == 3
 
     def test_round_trip_keeps_arrays_and_weight_bits(self, tmp_path):
         bundle = make_bundle(events_for([["a", "b", "c"], ["c", "a", "b"], ["b", "c"]],
@@ -259,7 +280,7 @@ class TestBundleSerialization:
         bundle.graph = GlobalGraph(n, np.repeat(np.arange(n), n), np.tile(np.arange(n), n),
                                    weight)
         bundle.graph_epsilon = 7
-        p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
+        p1, p2 = tmp_path / "b1.bin", tmp_path / "b2.bin"
         save_bundle(bundle, p1)
         loaded = load_bundle(p1)
         save_bundle(loaded, p2)
@@ -274,38 +295,38 @@ class TestBundleSerialization:
         assert loaded.graph_epsilon == 7 and loaded.vocab.items == bundle.vocab.items
         assert (loaded.stats, loaded.config) == (bundle.stats, bundle.config)
 
-    def test_columns_are_little_endian_typed_arrays(self):
-        doc = valid_bundle_doc()
+    def test_columns_are_little_endian_typed_arrays(self, valid_raw):
+        magic, head, body = split_container(valid_raw)
+        header = json.loads(head)
+        assert magic == b"SESSRECBUNDLE\n" and head == json.dumps(
+            header, sort_keys=True, separators=(",", ":")).encode()
+        assert header["graph_epsilon"] == 3 and header["format_version"] == 3
+        specs = header["arrays"]
+        assert [a["name"] for a in specs] == [
+            f"{key}/{name}" for key in ("sessions_train", "sessions_test", "train", "test")
+            for name in ("items", "lengths", "values")] + ["graph/src", "graph/dst",
+                                                           "graph/weight"]
+        # rows x 1 blocks laid end to end: int32 but for int64 start times and
+        # float64 weights
+        sizes = [a["rows"] * np.dtype(column_dtype(*a["name"].split("/"))).itemsize
+                 for a in specs]
+        assert all(a["cols"] == 1 for a in specs)
+        assert [a["offset"] for a in specs] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == len(body) and sizes[-3:] == [20, 20, 40]   # 5 edges
+        doc = read_doc(valid_raw)
         assert rows_of(doc, "test") == [[[2], 0], [[2, 0], 1]]
-        sizes = {name: len(doc["graph"][name]) for name in ("src", "dst", "weight")}
-        assert sizes == {"src": 28, "dst": 28, "weight": 56}   # 5 edges of 4, 4, 8 bytes
-        assert doc["graph"]["epsilon"] == 3
-        assert doc["sessions_test"]["values"] == "FQAAAAAAAAA="   # int64 21
-
-
-def valid_bundle_doc():
-    """A bundle with a graph, as JSON loads it: every field present and non-empty."""
-    from sessrec import graph as G
-    bundle = make_bundle(events_for([["a", "b", "c"], ["c", "a", "b"]], repeat=4),
-                         PreprocessConfig(min_item_freq=2))
-    bundle.graph = G.build_global_graph(bundle.sessions_train, bundle.vocab.n)
-    bundle.graph_epsilon = 3
-    return json.loads(json.dumps(bundle_to_dict(bundle)))
-
-
-REQUIRED_FIELDS = ["vocab", "sessions_train", "sessions_test", "train", "test", "stats"]
-ROW_FIELDS = ["sessions_train", "sessions_test", "train", "test"]
-NOT_A_CONTAINER = [None, 3, "x", 1.5, True]
+        start = specs[5]["offset"]   # sessions_test/values: one start time, int64 21
+        assert body[start:start + 8] == (21).to_bytes(8, "little")
 
 
 @st.composite
-def broken_bundle_doc(draw):
-    """A valid bundle document with one defect drawn at random."""
-    doc = valid_bundle_doc()
+def broken_bundle_file(draw, raw: bytes):
+    """The bytes of a valid bundle file with one defect drawn at random."""
+    doc = read_doc(raw)
     n = len(doc["vocab"])
-    kind = draw(st.sampled_from(["drop", "retype", "bad_column", "bad_item", "bad_target",
-                                 "bad_length", "bad_edge", "bad_weight", "dup_edge",
-                                 "empty_prefix"]))
+    kind = draw(st.sampled_from(["drop", "retype", "version", "bad_entry", "bad_item",
+                                 "bad_target", "bad_length", "bad_edge", "bad_weight",
+                                 "dup_edge", "empty_prefix"]))
     bad_index = draw(st.integers(n, 2 ** 31 - 1) | st.integers(-2 ** 31, -1))
 
     def edit(key, name, index, value):
@@ -314,17 +335,18 @@ def broken_bundle_doc(draw):
         set_column(doc, key, name, values)
 
     if kind == "drop":
-        del doc[draw(st.sampled_from(REQUIRED_FIELDS + ["format_version"]))]
+        target = draw(st.sampled_from(REQUIRED_FIELDS + ["graph_epsilon"] + list(doc["blocks"])))
+        (doc["blocks"] if "/" in target else doc).pop(target)
     elif kind == "retype":
-        doc[draw(st.sampled_from(REQUIRED_FIELDS + ["graph"]))] = \
-            draw(st.sampled_from(NOT_A_CONTAINER))
-    elif kind == "bad_column":
-        key = draw(st.sampled_from(ROW_FIELDS + ["graph"]))
-        name = draw(st.sampled_from(["src", "dst", "weight"] if key == "graph"
-                                    else ["items", "lengths", "values"]))
-        doc[key][name] = draw(st.sampled_from(NOT_A_CONTAINER[:2] + [1.5, True, [], ["AA=="],
-                                                                    "*", "A", "AAAAA",
-                                                                    "AA==AA==", "\u00e9"]))
+        doc[draw(st.sampled_from(REQUIRED_FIELDS[1:]))] = draw(st.sampled_from(NOT_A_CONTAINER))
+    elif kind == "version":
+        doc["format_version"] = draw(st.sampled_from([None, 1, 2, 4, "3", 3.0, True, [3]]))
+    elif kind == "bad_entry":
+        i = draw(st.integers(0, len(doc["blocks"]) - 1))
+        key = draw(st.sampled_from(["name", "rows", "cols", "offset"]))
+        value = draw(st.sampled_from([None, True, 1.0, "1", -1, [0], {}, 2 ** 64]))
+        return rewrite_meta(doc_bytes(doc), lambda m: dict(m, arrays=[
+            dict(a, **{key: value}) if j == i else a for j, a in enumerate(m["arrays"])]))
     elif kind == "bad_item":
         edit(draw(st.sampled_from(ROW_FIELDS)), "items", None, bad_index)
     elif kind == "bad_target":
@@ -350,65 +372,55 @@ def broken_bundle_doc(draw):
         lengths = column(doc, key, "lengths")
         lengths[-2:] = 0, lengths[-2:].sum()
         set_column(doc, key, "lengths", lengths)
-    return doc
+    return doc_bytes(doc)
+
+
+REQUIRED_FIELDS = ["format_version", "vocab", "stats", "config"]
+ROW_FIELDS = ["sessions_train", "sessions_test", "train", "test"]
+NOT_A_CONTAINER = [None, 3, "x", 1.5, True]
 
 
 class TestBundleValidation:
-    def test_valid_doc_loads(self):
-        bundle = bundle_from_dict(valid_bundle_doc())
+    def test_valid_doc_loads(self, tmp_path, valid_raw):
+        bundle = load_bytes(tmp_path / "b.bin", valid_raw)
         assert bundle.test and bundle.sessions_test and bundle.graph.edges
 
-    @settings(max_examples=200, deadline=None)
-    @given(broken_bundle_doc())
-    def test_mutated_bundle_is_data_error(self, doc):
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_bundle_is_data_error(self, tmp_path, valid_raw, data):
+        raw = data.draw(broken_bundle_file(valid_raw))
         with pytest.raises(DataError):
-            bundle_from_dict(doc)
-
-    def test_load_restores_collector_state(self, tmp_path):
-        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-        good.write_text(json.dumps(valid_bundle_doc()))
-        bad.write_text(json.dumps({"format_version": 1}))
-        was_enabled = gc.isenabled()
-        try:
-            for enabled in (True, False):
-                gc.enable() if enabled else gc.disable()
-                load_bundle(good)
-                with pytest.raises(DataError):
-                    load_bundle(bad)
-                assert gc.isenabled() == enabled
-        finally:
-            gc.enable() if was_enabled else gc.disable()
+            load_bytes(tmp_path / "bad.bin", raw)
 
     @pytest.mark.parametrize("start_time", [2 ** 63, -2 ** 63 - 1, 1.5, True])
-    def test_start_time_not_an_int64_is_data_error(self, start_time):
-        # start times are an int64 column: a JSON value in its place, a column
-        # whose bytes are not whole int64s and text that is not base64 all fail
-        doc = valid_bundle_doc()
-        for broken in (start_time, [start_time], "FQAAAAAAAAAAAA==", "FQAAAAAAAAA*"):
-            doc["sessions_test"]["values"] = broken
-            with pytest.raises(DataError, match="sessions_test.values"):
-                bundle_from_dict(doc)
+    def test_start_time_not_an_int64_is_data_error(self, tmp_path, valid_raw, start_time):
+        # any 8 bytes of the int64 start-time block are a start time; a value
+        # that is not an int >= 0 keeping the block inside the file, as its
+        # rows, cols or offset, is refused with the block's name
+        for key in ("rows", "cols", "offset"):
+            with pytest.raises(DataError, match="sessions_test/values"):
+                load_bytes(tmp_path / "b.bin",
+                           entry("sessions_test/values", **{key: start_time})(valid_raw))
 
     @pytest.mark.parametrize("case", BROKEN_BUNDLES)
-    def test_broken_column_is_data_error(self, tmp_path, case):
+    def test_broken_column_is_data_error(self, tmp_path, valid_raw, case):
         mutate, message = BROKEN_BUNDLES[case]
-        doc = valid_bundle_doc()
-        mutate(doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(message)):
-            load_bundle(path)
+            load_bytes(tmp_path / "bad.bin", mutate(valid_raw))
 
-    def test_format_1_bundle_asks_for_regeneration(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(format_1_doc(valid_bundle_doc())))
-        with pytest.raises(DataError, match="version 1 .*regenerate.*`sessrec preprocess` "
-                                            "or `sessrec synth`"):
-            load_bundle(path)
+    def test_format_1_bundle_asks_for_regeneration(self, tmp_path, valid_raw):
+        # format 2 (base64 columns) is JSON too, and refused alike
+        for old in (format_1_doc, format_2_doc):
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(old(read_doc(valid_raw)), sort_keys=True))
+            with pytest.raises(DataError, match="version 1 or 2 .*regenerate.*"
+                                                "`sessrec preprocess` or `sessrec synth`"):
+                load_bundle(path)
 
-    def test_not_an_object(self):
+    def test_not_an_object(self, tmp_path, valid_raw):
         with pytest.raises(DataError, match="JSON object"):
-            bundle_from_dict([1, 2])
+            load_bytes(tmp_path / "b.bin", rewrite_meta(valid_raw, lambda m: [1, 2]))
 
 
 class TestContainers:
@@ -427,7 +439,7 @@ class TestContainers:
         bundle = make_bundle(events_for([["a", "b", "c", "d"], ["c", "a"], ["b", "c", "a"]],
                                         repeat=4),
                              PreprocessConfig(min_item_freq=2, holdout_fraction=0.25))
-        doc = bundle_to_dict(bundle)
+        doc = bundle_doc(bundle)
         rows = {f: [Session(items, start) for items, start in rows_of(doc, "sessions_" + f)]
                 for f in ("train", "test")}
         want = {"sessions_" + f: sessions for f, sessions in rows.items()}

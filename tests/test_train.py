@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -175,6 +176,24 @@ class TestCheckpoint:
         TR.save_checkpoint(tmp_path / "again.ckpt", params, adam, hyper2, vhash)
         assert (tmp_path / "again.ckpt").read_bytes() == \
                (tmp_path / "last.ckpt").read_bytes()
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # the sha256 of the file save_checkpoint writes for seeded parameters and
+        # an Adam at 7 steps, so that its bytes cannot drift; load then save
+        # writes them again
+        hyper = tiny_hyper(d=3, num_layers=2)
+        params = M.init_params(5, hyper)
+        adam = Adam(params.tensors, lr=hyper.lr)
+        adam.t = 7
+        path, again = tmp_path / "pinned.ckpt", tmp_path / "again.ckpt"
+        TR.save_checkpoint(path, params, adam, hyper, "0123abcd" * 8)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "3131b990e669765a7be7c1e8159d4a2f20271f3f7bc1eb6511db0196bd151ef0"
+        loaded, steps, hyper2, vhash = TR.load_checkpoint(path)
+        adam2 = Adam(loaded.tensors, lr=hyper2.lr)
+        adam2.t = steps
+        TR.save_checkpoint(again, loaded, adam2, hyper2, vhash)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_file_holds_the_parameters_only(self, tiny_bundle, tmp_path):
         _, result = self._trained(tiny_bundle, tmp_path)
