@@ -320,6 +320,18 @@ def test_broken_column_exit_code(tmp_path, graph_bundle, checkpoint, capsys, cas
         assert err.count("\n") == 1 and not out.exists()
 
 
+@pytest.mark.parametrize("case", ["nan-weight", "zero-weight", "negative-weight",
+                                  "repeated-edge"])
+def test_bad_bundle_graph_exit_code(tmp_path, synth_bundle, case):
+    with_graph = tmp_path / "g.json"
+    assert run("build-graph", "--in", str(synth_bundle), "--out",
+               str(with_graph)) == EXIT_OK
+    with_graph.write_bytes(BROKEN_BUNDLES[case][0](with_graph.read_bytes()))
+    assert run("train", "--data", str(with_graph), "--out", str(tmp_path / "run"),
+               "--d", "4", "--layers", "0", "--epochs", "1") == EXIT_DATA
+    assert not (tmp_path / "run").exists()
+
+
 def test_format_1_bundle_exit_code(tmp_path, graph_bundle):
     # format 2 (base64 columns) is JSON too, and refused alike
     for old_doc in (format_1_doc, format_2_doc):
